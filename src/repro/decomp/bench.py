@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.decomp.grid import BlockDecomposition, DecompositionCounts
+from repro.decomp.grid import BlockDecomposition, DecompositionCounts, Pair
 from repro.decomp.stencil import get_stencil
 from repro.matching.factory import make_queue
 from repro.mpi.process import MpiProcess
@@ -79,11 +79,18 @@ def run_decomposition(
     rng: np.random.Generator,
     *,
     queue_family: str = "baseline",
+    pairs: Optional[List[Pair]] = None,
 ) -> float:
-    """One trial: returns the mean PRQ search depth over all messages."""
+    """One trial: returns the mean PRQ search depth over all messages.
+
+    *pairs* is the block's external-pair enumeration for the stencil, when
+    the caller already has it (:func:`run_trials` shares one across trials).
+    """
     block = BlockDecomposition(tuple(dims))
     stencil = get_stencil(stencil_name)
-    by_thread = block.pairs_by_thread(stencil)
+    if pairs is None:
+        pairs = block.external_pairs(stencil)
+    by_thread = block.pairs_by_thread(stencil, pairs)
     # Assign every (thread, cell) pair a unique tag.
     pair_ids: Dict[Tuple, int] = {}
     for thread, cells in sorted(by_thread.items()):
@@ -102,7 +109,7 @@ def run_decomposition(
 
     # Phase 2: the proxy's sending threads issue the messages, one sending
     # thread per distinct external cell, again randomly interleaved.
-    by_sender = block.pairs_by_sender(stencil)
+    by_sender = block.pairs_by_sender(stencil, pairs)
     send_streams: List[List[int]] = [
         shuffled([pair_ids[(thread, cell)] for thread in threads], rng)
         for cell, threads in sorted(by_sender.items())
@@ -128,11 +135,16 @@ def run_trials(
     """Table 1 protocol: average search depth over *trials* runs."""
     block = BlockDecomposition(tuple(dims))
     stencil = get_stencil(stencil_name)
-    counts = block.counts(stencil)
+    pairs = block.external_pairs(stencil)
+    counts = block.counts(stencil, pairs)
     depths = []
     for trial in range(trials):
         rng = np.random.default_rng(seed * 10_007 + trial)
-        depths.append(run_decomposition(dims, stencil_name, rng, queue_family=queue_family))
+        depths.append(
+            run_decomposition(
+                dims, stencil_name, rng, queue_family=queue_family, pairs=pairs
+            )
+        )
     arr = np.asarray(depths)
     return DecompResult(
         dims=tuple(dims),

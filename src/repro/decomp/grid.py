@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from repro.decomp.stencil import Stencil
 from repro.errors import ConfigurationError
 
 Coord = Tuple[int, ...]
+Pair = Tuple[Coord, Coord]
 
 
 @dataclass(frozen=True)
@@ -52,28 +54,35 @@ class BlockDecomposition:
         """All thread coordinates in the block."""
         return list(product(*(range(d) for d in self.dims)))
 
-    def inside(self, coord: Coord) -> bool:
-        """True if *coord* lies within the block."""
-        return all(0 <= c < d for c, d in zip(coord, self.dims))
-
-    def external_pairs(self, stencil: Stencil) -> List[Tuple[Coord, Coord]]:
+    def external_pairs(self, stencil: Stencil) -> List[Pair]:
         """All (thread, external neighbour cell) pairs — one message each."""
         if stencil.ndim != self.ndim:
             raise ConfigurationError(
                 f"{stencil.name} is {stencil.ndim}-D but decomposition is "
                 f"{self.ndim}-D"
             )
-        pairs: List[Tuple[Coord, Coord]] = []
+        dims = self.dims
+        offsets = stencil.offsets
+        pairs: List[Pair] = []
         for thread in self.threads():
-            for off in stencil.offsets:
-                neighbour = tuple(t + o for t, o in zip(thread, off))
-                if not self.inside(neighbour):
-                    pairs.append((thread, neighbour))
+            for off in offsets:
+                neighbour = tuple(map(add, thread, off))
+                for c, d in zip(neighbour, dims):
+                    if c < 0 or c >= d:
+                        pairs.append((thread, neighbour))
+                        break
         return pairs
 
-    def counts(self, stencil: Stencil) -> DecompositionCounts:
-        """Exact tr / ts / length for Table 1."""
-        pairs = self.external_pairs(stencil)
+    def counts(
+        self, stencil: Stencil, pairs: Optional[List[Pair]] = None
+    ) -> DecompositionCounts:
+        """Exact tr / ts / length for Table 1.
+
+        *pairs*, when given, is this block's :meth:`external_pairs` for
+        *stencil*, enumerated once by the caller and shared.
+        """
+        if pairs is None:
+            pairs = self.external_pairs(stencil)
         receiving = {thread for thread, _ in pairs}
         sending = {cell for _, cell in pairs}
         return DecompositionCounts(
@@ -82,18 +91,28 @@ class BlockDecomposition:
             list_length=len(pairs),
         )
 
-    def pairs_by_thread(self, stencil: Stencil) -> Dict[Coord, List[Coord]]:
+    def pairs_by_thread(
+        self, stencil: Stencil, pairs: Optional[List[Pair]] = None
+    ) -> Dict[Coord, List[Coord]]:
         """External neighbour cells grouped per receiving thread, in a
-        deterministic order (a thread posts its receives in program order)."""
+        deterministic order (a thread posts its receives in program order).
+        *pairs* as for :meth:`counts`."""
+        if pairs is None:
+            pairs = self.external_pairs(stencil)
         grouped: Dict[Coord, List[Coord]] = {}
-        for thread, cell in self.external_pairs(stencil):
+        for thread, cell in pairs:
             grouped.setdefault(thread, []).append(cell)
         return grouped
 
-    def pairs_by_sender(self, stencil: Stencil) -> Dict[Coord, List[Coord]]:
-        """Receiving threads grouped per external sending cell."""
+    def pairs_by_sender(
+        self, stencil: Stencil, pairs: Optional[List[Pair]] = None
+    ) -> Dict[Coord, List[Coord]]:
+        """Receiving threads grouped per external sending cell. *pairs* as
+        for :meth:`counts`."""
+        if pairs is None:
+            pairs = self.external_pairs(stencil)
         grouped: Dict[Coord, List[Coord]] = {}
-        for thread, cell in self.external_pairs(stencil):
+        for thread, cell in pairs:
             grouped.setdefault(cell, []).append(thread)
         return grouped
 

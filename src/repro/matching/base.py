@@ -111,10 +111,11 @@ class MatchQueue(ABC):
     # -- conveniences ----------------------------------------------------------
 
     def peek_match(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Non-destructive best match (no removal, still charges searches)."""
+        """Non-destructive earliest match: no removal, and nothing is
+        charged — neither port loads nor search statistics."""
         # Default: subclasses that can do better may override. This base
-        # version scans iter_items without memory charges; only used by
-        # tools, never on the hot path.
+        # version scans iter_items; only used by tools, never on the hot
+        # path.
         best: Optional[MatchItem] = None
         from repro.matching.envelope import items_match
 

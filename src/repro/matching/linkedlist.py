@@ -11,26 +11,89 @@ the paper's baseline measurements reflect ("the unmodified baseline requires
 more than a cache line for a single entry", section 4.2). A
 :class:`FragmentedHeap` can be supplied instead to model a long-running,
 churned arena (used by the FDS study, whose lists are long-lived).
+
+NullPort search index
+---------------------
+
+Against a :class:`~repro.matching.port.NullPort` a search charges nothing,
+so all a search decides is *where* its match sits: the walk's loads, hints
+and scan runs follow from that position alone. A list built on a NullPort
+therefore keeps an index beside ``_nodes`` and answers concrete probes
+without walking:
+
+* **Key FIFOs.** Every item whose masks are all-or-nothing has an envelope
+  key ``(cid, src or ANY, tag or ANY)``; items sharing a key are linked
+  oldest-first through ``_Node.next_same``, with ``_heads``/``_tails``
+  holding each chain's ends. Whether an item matches a probe depends only
+  on its key, so the earliest match of a concrete probe is the oldest of at
+  most four chain heads, and every removal takes its chain's head.
+* **Insertion slots.** ``_slots`` holds each live node's posting slot in
+  list order (it is sorted), so a match's position is one ``bisect``.
+* **Run roles.** ``_roles`` holds one byte per live node — single, run
+  start or run continuation — mirroring the greedy segmentation
+  :func:`~repro.matching.port.emit_node_runs` would make of the whole list.
+  A scan's prefix is segmented the same way except that the segment holding
+  the match is cut there, so its ``runs`` and ``run_probes`` are two
+  ``bytearray.count`` calls. Posts and removals re-segment only from the
+  node before the change and stop as soon as the old segmentation resumes.
+
+The port is then charged arithmetically with exactly what the walk would
+have counted; the unlink stores still go through the port. Wildcard probes,
+searches while an item with a partial mask (neither 0 nor full) is live,
+and every port other than an exact ``NullPort`` keep the linear walk: an
+engine port must see each node it would have loaded, so the index would
+only cost memory there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.matching.base import MatchQueue
 from repro.matching.entry import LL_NODE_POINTERS, MatchItem
-from repro.matching.envelope import items_match
-from repro.matching.port import MemoryPort, emit_node_runs
+from repro.matching.envelope import FULL_MASK, items_match
+from repro.matching.port import MemoryPort, NullPort, emit_node_runs
 from repro.mem.alloc import Allocation, SequentialHeap
 
+#: Run roles of the NullPort index, one byte per live node.
+_SINGLE = 0  # a one-node segment: a plain load
+_START = 1  # first node of a run
+_CONT = 2  # later node of a run
 
-@dataclass
+#: Key component of a wildcarded (zero-mask) field.
+_ANY = None
+
+
+def _index_key(item: MatchItem):
+    """The item's envelope key, or None when a mask is partial."""
+    mask = item.src_mask
+    if mask == FULL_MASK:
+        src = item.src & FULL_MASK
+    elif mask == 0:
+        src = _ANY
+    else:
+        return None
+    mask = item.tag_mask
+    if mask == FULL_MASK:
+        tag = item.tag & FULL_MASK
+    elif mask == 0:
+        tag = _ANY
+    else:
+        return None
+    return (item.cid, src, tag)
+
+
 class _Node:
-    item: MatchItem
-    alloc: Allocation
+    __slots__ = ("item", "alloc", "slot", "next_same")
+
+    def __init__(self, item: MatchItem, alloc: Allocation) -> None:
+        self.item = item
+        self.alloc = alloc
+        self.slot = 0
+        self.next_same: Optional[_Node] = None
 
 
 class BaselineLinkedList(MatchQueue):
@@ -60,6 +123,16 @@ class BaselineLinkedList(MatchQueue):
         self.heap = heap
         self.node_bytes = LL_NODE_POINTERS + entry_bytes
         self._nodes: list[_Node] = []
+        # The search index (module docstring) exists only on a NullPort.
+        self._indexed = type(self.port) is NullPort
+        if self._indexed:
+            self._heads: dict = {}
+            self._tails: dict = {}
+            self._slots: list[int] = []
+            self._roles = bytearray()
+            self._next_slot = 0
+            self._partial = 0  # live items with a partial mask (no key)
+            self._wild = 0  # live keyed items with a wildcarded field
 
     def post(self, item: MatchItem) -> None:
         """Append *item*; its FIFO position is its posting order."""
@@ -71,6 +144,8 @@ class BaselineLinkedList(MatchQueue):
         if self._nodes:
             self.port.store(self._nodes[-1].alloc.addr, 8)
         self._nodes.append(node)
+        if self._indexed:
+            self._index_append(node)
         self.stats.posts += 1
 
     #: How far ahead of the scan middleware prefetch hints are issued. The
@@ -79,6 +154,13 @@ class BaselineLinkedList(MatchQueue):
 
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
         """Find, remove and return the earliest item matching *probe*, or None."""
+        if (
+            self._indexed
+            and not self._partial
+            and probe.src_mask == FULL_MASK
+            and probe.tag_mask == FULL_MASK
+        ):
+            return self._match_remove_indexed(probe)
         if self.port.scan_batch:
             return self._match_remove_runs(probe)
         return self._match_remove_slots(probe)
@@ -136,6 +218,49 @@ class BaselineLinkedList(MatchQueue):
         self.stats.record_search(n, False)
         return None
 
+    def _match_remove_indexed(self, probe: MatchItem) -> Optional[MatchItem]:
+        """NullPort search of a concrete probe through the index.
+
+        Charges the port exactly what either walk above would have: one
+        load and byte count per node up to the match (the whole list on a
+        miss), the walk's hint count, and — when batching — the runs of
+        the cut segmentation.
+        """
+        cid = probe.cid
+        src = probe.src & FULL_MASK
+        tag = probe.tag & FULL_MASK
+        heads = self._heads
+        node = heads.get((cid, src, tag))
+        if self._wild:
+            for key in ((cid, _ANY, tag), (cid, src, _ANY), (cid, _ANY, _ANY)):
+                head = heads.get(key)
+                if head is not None and (node is None or head.slot < node.slot):
+                    node = head
+        n = len(self._nodes)
+        inspected = n if node is None else bisect_left(self._slots, node.slot) + 1
+        port = self.port
+        port.loads += inspected
+        port.bytes_loaded += inspected * self.node_bytes
+        hints = min(inspected, n - self.SW_PREFETCH_LOOKAHEAD)
+        if hints > 0:
+            port.hints += hints
+        if port.scan_batch and inspected:
+            roles = self._roles
+            runs = roles.count(_START, 0, inspected)
+            run_probes = inspected - roles.count(_SINGLE, 0, inspected)
+            if roles[inspected - 1] == _START:
+                # The scan stops on a run's first node: a plain load.
+                runs -= 1
+                run_probes -= 1
+            port.runs += runs
+            port.run_probes += run_probes
+        if node is None:
+            self.stats.record_search(n, False)
+            return None
+        self._unlink(inspected - 1)
+        self.stats.record_search(inspected, True)
+        return node.item
+
     def _unlink(self, idx: int) -> None:
         node = self._nodes.pop(idx)
         # Patch neighbours' pointers.
@@ -144,6 +269,92 @@ class BaselineLinkedList(MatchQueue):
         if idx < len(self._nodes):
             self.port.store(self._nodes[idx].alloc.addr + 8, 8)
         self.heap.free(node.alloc)
+        if self._indexed:
+            self._index_remove(node, idx)
+
+    # -- NullPort index maintenance --------------------------------------------
+
+    def _index_append(self, node: _Node) -> None:
+        node.slot = self._next_slot
+        self._next_slot += 1
+        self._slots.append(node.slot)
+        key = _index_key(node.item)
+        if key is None:
+            self._partial += 1
+        else:
+            tail = self._tails.get(key)
+            if tail is None:
+                self._heads[key] = node
+            else:
+                tail.next_same = node
+            self._tails[key] = node
+            if key[1] is _ANY or key[2] is _ANY:
+                self._wild += 1
+        # Placeholder role: a continuation never stops the re-segmentation.
+        self._roles.append(_CONT)
+        self._resegment(len(self._nodes) - 1)
+
+    def _index_remove(self, node: _Node, idx: int) -> None:
+        del self._slots[idx]
+        del self._roles[idx]
+        key = _index_key(node.item)
+        if key is None:
+            self._partial -= 1
+        else:
+            # A removed item is always the oldest of its key: items sharing
+            # a key match exactly the same probes.
+            nxt = node.next_same
+            if nxt is None:
+                del self._heads[key]
+                del self._tails[key]
+            else:
+                self._heads[key] = nxt
+            if key[1] is _ANY or key[2] is _ANY:
+                self._wild -= 1
+        self._resegment(idx)
+
+    def _resegment(self, first: int) -> None:
+        """Restore ``_roles`` after the node at *first* was added or removed.
+
+        Roles before *first* - 1 are unaffected. From there the greedy
+        segmentation is replayed until it reaches a node whose stored role
+        (the old segmentation, shifted past the change) it would reproduce:
+        a segment start at or after *first*, or a continuation after
+        *first*, whose predecessor and spacing are then unchanged too.
+        """
+        nodes = self._nodes
+        roles = self._roles
+        n = len(nodes)
+        node_bytes = self.node_bytes
+        spacing = None  # stride of the run still open at position i - 1
+        if first == 0:
+            i = 0
+        elif roles[first - 1] == _CONT:
+            i = first
+            spacing = nodes[first - 1].alloc.addr - nodes[first - 2].alloc.addr
+        else:
+            i = first - 1
+        while i < n:
+            addr = nodes[i].alloc.addr
+            if spacing is not None:
+                if addr - nodes[i - 1].alloc.addr == spacing:
+                    if i > first and roles[i] == _CONT:
+                        return
+                    roles[i] = _CONT
+                    i += 1
+                    continue
+                spacing = None
+            if i >= first and roles[i] != _CONT:
+                return
+            if i + 1 < n:
+                gap = nodes[i + 1].alloc.addr - addr
+                if gap >= node_bytes:
+                    roles[i] = _START
+                    spacing = gap
+                    i += 1
+                    continue
+            roles[i] = _SINGLE
+            i += 1
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -135,9 +135,35 @@ class TestMeasuredDepths:
         assert row[0] == "8x8" and row[1] == "5pt"
 
 
+#: ``repr`` of (mean_search_depth, depth_std) per row of
+#: ``table1(trials=3, seed=0)``, recorded from the linear-walk list: the
+#: search index and the shared pair enumeration must reproduce them bit for
+#: bit.
+GOLDEN_TABLE1_SEED0_TRIALS3 = {
+    ((32, 32), "5pt"): ("33.578125", "0.6638633279743404"),
+    ((64, 32), "5pt"): ("47.62152777777778", "0.8703822983569987"),
+    ((32, 32), "9pt"): ("97.70175438596492", "1.274318990241019"),
+    ((64, 32), "9pt"): ("145.40675990675993", "2.926789368195349"),
+    ((8, 8, 4), "7pt"): ("64.11067708333333", "1.3775660143582704"),
+    ((1, 1, 128), "7pt"): ("121.93060959792479", "3.034245026297804"),
+    ((1, 1, 256), "7pt"): ("253.16666666666666", "5.010036576078783"),
+    ((8, 8, 4), "27pt"): ("537.2385778635779", "4.021374505035469"),
+    ((1, 1, 128), "27pt"): ("766.2925612665364", "9.959469279194378"),
+    ((1, 1, 256), "27pt"): ("1528.8539429439204", "19.297619732312633"),
+}
+
+
 class TestTable1Driver:
     def test_row_list_matches_paper(self):
         assert set(TABLE1_ROWS) == set(PAPER_TABLE1)
+
+    def test_golden_depths_all_rows(self):
+        rows = table1(trials=3, seed=0)
+        got = {
+            (res.dims, res.stencil): (repr(res.mean_search_depth), repr(res.depth_std))
+            for res in rows
+        }
+        assert got == GOLDEN_TABLE1_SEED0_TRIALS3
 
     def test_subset_run(self):
         rows = table1(trials=1, rows=[((8, 8), "5pt")])
