@@ -34,7 +34,6 @@ from conftest import emit
 from repro.analysis.report import render_table
 from repro.mem.cache import CLS_DEFAULT, CLS_NETWORK, EvictionPolicy
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.kernel import KERNEL_REFERENCE, KERNEL_SOA, KERNEL_VEC
 from repro.mem.layout import LINE_SHIFT
 from repro.mem.result import AccessResult
 
@@ -48,20 +47,6 @@ ROUNDS = 7
 
 #: The acceptance gate (span workload only — see module docstring).
 MIN_SPAN_SPEEDUP = 1.5
-
-#: The kernel gates: each faster backend must beat its predecessor by at
-#: least this factor on the LRU warm-span workload its fast path targets.
-#: soa-over-reference runs on 16 KiB spans (two alternating 256-line
-#: buffers exactly filling the 512-line L1 — warm steady state, zero
-#: evictions; measured ~2.2-2.5x). vec-over-soa runs on 32 KiB spans (one
-#: 512-line buffer occupying the whole L1), where the vec backend's single
-#: range-scan of the tag slab replaces soa's per-line set/stamp loop
-#: (measured ~4-4.5x; at 256 lines the ratio sits right at 2x, so the gate
-#: uses the wider span). A failing measurement is re-taken up to twice
-#: before a gate trips, so a scheduler hiccup on a loaded machine cannot
-#: fail the suite while a real regression still does.
-MIN_KERNEL_SPEEDUP = 2.0
-
 
 def _mix_stream():
     stream = []
@@ -78,27 +63,8 @@ def _span_stream():
     return [((i & 1) << 16, 4096, CLS_DEFAULT) for i in range(2 * MESSAGES * 8)]
 
 
-def _wide_span_stream():
-    # 16 KiB spans (256 lines) alternating between two disjoint buffers;
-    # together they exactly fill the L1, so after warmup every access is a
-    # pure-hit run — the steady state the SoA stamp loop is optimized for.
-    return [((i & 1) << 18, 16384, CLS_DEFAULT) for i in range(2 * MESSAGES * 8)]
-
-
-def _xwide_span_stream():
-    # 32 KiB spans (512 lines): one buffer occupying the entire L1. After
-    # the cold first access every span is an all-hit run, the shape the vec
-    # backend's whole-slab range probe turns into O(L1 slots) numpy work.
-    # The stream is long enough that the (kernel-independent) cold fill of
-    # the first access does not dilute the measured warm-path ratio.
-    return [(0, 32768, CLS_DEFAULT)] * (2 * MESSAGES * 40)
-
-
-def _make_hierarchy(policy, kernel=KERNEL_REFERENCE):
-    # The legacy-vs-batched comparison pins the reference kernel: it is the
-    # seed's data structure, so legacy/batched measure *loop* structure on
-    # equal footing. The kernel comparison below varies ``kernel`` instead.
-    return MemoryHierarchy(policy=policy, rng=np.random.default_rng(5), kernel=kernel)
+def _make_hierarchy(policy):
+    return MemoryHierarchy(policy=policy, rng=np.random.default_rng(5))
 
 
 def _run_legacy(hier, stream):
@@ -197,142 +163,3 @@ def test_access_path_speedup(once):
     # batched path must additionally never be a large regression elsewhere.
     for (policy, name), (legacy_s, batched_s) in results.items():
         assert batched_s <= 1.5 * legacy_s, f"{policy}/{name} regressed"
-
-
-# -- kernel backends: reference dicts vs SoA slabs vs vec ndarrays -------------
-
-#: Timing/reporting order: reference first (the baseline every other
-#: backend is asserted bit-identical against), then each faster backend.
-KERNEL_ORDER = (KERNEL_REFERENCE, KERNEL_SOA, KERNEL_VEC)
-
-
-def _run_stream(hier, stream):
-    """Drive ``access_lines`` (each backend dispatches to its own path)."""
-    access = hier.access_lines
-    tx = AccessResult()
-    cycles = 0.0
-    for addr, nbytes, cls in stream:
-        access(0, addr >> LINE_SHIFT, (addr + nbytes - 1) >> LINE_SHIFT, cls, tx)
-        cycles += tx.cycles
-    return cycles
-
-
-def time_kernels(policy, stream, rounds=ROUNDS):
-    """Interleaved best-of timing of every kernel backend on *stream*.
-
-    Returns ``{kernel: best_seconds}``. Beyond speed, asserts the
-    equivalence contract end to end: every backend must produce counter
-    signatures identical to the reference kernel *and* repr-identical
-    total simulated cycles.
-    """
-    best = {kernel: float("inf") for kernel in KERNEL_ORDER}
-    sig = {}
-    cyc = {}
-    for _ in range(rounds):
-        for kernel in KERNEL_ORDER:
-            hier = _make_hierarchy(policy, kernel)
-            t0 = time.perf_counter()
-            cycles = _run_stream(hier, stream)
-            best[kernel] = min(best[kernel], time.perf_counter() - t0)
-            sig[kernel] = _signature(hier)
-            cyc[kernel] = repr(cycles)
-    for kernel in KERNEL_ORDER[1:]:
-        assert sig[kernel] == sig[KERNEL_REFERENCE], (
-            f"{kernel} kernel diverged from reference under {policy}: "
-            f"{sig[kernel]} != {sig[KERNEL_REFERENCE]}"
-        )
-        assert cyc[kernel] == cyc[KERNEL_REFERENCE], (
-            f"{kernel} kernel cycles diverged under {policy}: "
-            f"{cyc[kernel]} != {cyc[KERNEL_REFERENCE]}"
-        )
-    return best
-
-
-KERNEL_SCENARIOS = SCENARIOS + (
-    ("16KiB spans", _wide_span_stream),
-    ("32KiB spans", _xwide_span_stream),
-)
-
-#: The speedup gates: (fast kernel, baseline kernel, workload). Each runs
-#: under LRU and must clear MIN_KERNEL_SPEEDUP (with noise retries).
-KERNEL_GATES = (
-    (KERNEL_SOA, KERNEL_REFERENCE, "16KiB spans", _wide_span_stream),
-    (KERNEL_VEC, KERNEL_SOA, "32KiB spans", _xwide_span_stream),
-)
-
-
-def _gate_with_retry(results, fast, base, workload, make_stream, emit):
-    """Assert ``fast`` beats ``base`` by MIN_KERNEL_SPEEDUP on *workload*.
-
-    A below-target measurement is re-taken up to twice (fresh interleaved
-    rounds) before the gate trips; the failure message names the kernel
-    pair and the measured ratio so a trip is diagnosable from the log.
-    """
-    timing = results[(EvictionPolicy.LRU, workload)]
-    speedup = timing[base] / timing[fast]
-    for _retry in range(2):
-        if speedup >= MIN_KERNEL_SPEEDUP:
-            break
-        emit(
-            f"kernel gate {fast}-over-{base} ({workload}) at {speedup:.2f}x, "
-            f"below {MIN_KERNEL_SPEEDUP}x target; re-measuring"
-        )
-        timing = time_kernels(EvictionPolicy.LRU, make_stream())
-        speedup = max(speedup, timing[base] / timing[fast])
-    assert speedup >= MIN_KERNEL_SPEEDUP, (
-        f"LRU {workload}: {fast}-over-{base} kernel speedup "
-        f"{speedup:.2f}x < {MIN_KERNEL_SPEEDUP}x"
-    )
-
-
-def test_kernel_backend_speedup(once):
-    def run():
-        results = {}
-        for policy in (EvictionPolicy.LRU, EvictionPolicy.PLRU):
-            for name, make_stream in KERNEL_SCENARIOS:
-                results[(policy, name)] = time_kernels(policy, make_stream())
-        return results
-
-    results = once(run)
-    rows = []
-    for (policy, name), timing in results.items():
-        rows.append(
-            (
-                policy,
-                name,
-                round(timing[KERNEL_REFERENCE] * 1e3, 2),
-                round(timing[KERNEL_SOA] * 1e3, 2),
-                round(timing[KERNEL_VEC] * 1e3, 2),
-                round(timing[KERNEL_REFERENCE] / timing[KERNEL_SOA], 2),
-                round(timing[KERNEL_SOA] / timing[KERNEL_VEC], 2),
-            )
-        )
-    emit(
-        render_table(
-            ["policy", "workload", "reference ms", "soa ms", "vec ms",
-             "soa/ref x", "vec/soa x"],
-            rows,
-            title="Cache kernel backends (best-of-%d)" % ROUNDS,
-        )
-    )
-    # The gates: each warm wide-span workload under LRU is the shape the
-    # corresponding backend's fast path targets (see MIN_KERNEL_SPEEDUP).
-    for fast, base, workload, make_stream in KERNEL_GATES:
-        _gate_with_retry(results, fast, base, workload, make_stream, emit)
-    # And neither optimized kernel may be a *large* regression on any
-    # scenario. soa gets 15% slack for timer noise on near-parity traversal
-    # workloads. vec gets more: off its fast path (narrow spans, PLRU,
-    # scalar fills) it runs the inherited soa loop over ndarray storage,
-    # where per-element reads/writes cost ~2-3x a Python list's — the
-    # documented price of the wide-warm-span LRU win (measured worst case
-    # ~1.3x on the narrow-span PLRU shapes; the bound catches it becoming
-    # pathological, not the known constant).
-    for (policy, name), timing in results.items():
-        assert timing[KERNEL_SOA] <= 1.15 * timing[KERNEL_REFERENCE], (
-            f"{policy}/{name}: soa slower than reference "
-            f"({timing[KERNEL_SOA] / timing[KERNEL_REFERENCE]:.2f}x)"
-        )
-        assert timing[KERNEL_VEC] <= 1.5 * timing[KERNEL_REFERENCE], (
-            f"{policy}/{name}: vec slower than reference "
-            f"({timing[KERNEL_VEC] / timing[KERNEL_REFERENCE]:.2f}x)"
-        )

@@ -1,6 +1,6 @@
 """Queue-scan micro-benchmark: batched ``load_run`` vs per-slot ``load``.
 
-PR 4's SoA kernel made the cache model fast; the cost left on the table was
+With the cache model itself fast enough, the cost left on the table was
 the queue→engine boundary, where every inspected slot paid one Python
 ``MemoryPort.load()`` round trip — heater sync, transaction setup,
 ``LevelStats.add``, clock advance. The scan-transaction API charges one
@@ -10,8 +10,8 @@ machinery whenever the run's lines are L1-resident and the heater is
 quiescent across the run's projected span.
 
 This benchmark drives a depth-8192 failed search (the paper's worst-case
-queue traversal, Figures 4b/6b) through an LLA(k=8) on the SoA kernel under
-both scan spellings and asserts:
+queue traversal, Figures 4b/6b) through an LLA(k=8) under both scan
+spellings and asserts:
 
 * identical simulated signatures (clock, cycles, counters) — bit-identity
   is re-checked here *inside* the timed harness, not just in the lockstep
@@ -19,10 +19,10 @@ both scan spellings and asserts:
 * the batched stack actually took the run fast path (``fast_runs > 0``);
 * >= 3x ``match_remove`` throughput on the warm-hierarchy gate scenario,
   where the arena is L1-resident so every node scan collapses to the fast
-  path (measured ~4-6x). The cold scenario — default 32 KiB L1, arena far
+  path (measured ~4.1x). The cold scenario — default 32 KiB L1, arena far
   larger — is reported but not gated: most runs there fail the residency
-  gate and replay per probe, so the win is only the coalesced geometry
-  setup (~1.1-1.3x).
+  gate and replay per probe, so both spellings cost about the same
+  (~1.0x).
 
 Interleaved best-of-N timing with gate re-measurement (as in
 ``bench_access_path.py``) keeps the comparison robust on noisy machines.
@@ -40,7 +40,6 @@ from repro.matching.engine import MatchEngine
 from repro.matching.entry import MatchItem
 from repro.matching.lla import LinkedListOfArrays
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.kernel import KERNEL_SOA
 
 #: The paper's deepest search-length point (Figures 4b/6b).
 DEPTH = 8192
@@ -78,9 +77,7 @@ def _probe():
 
 
 def build_session(scan_batch, geometry=WARM_GEOMETRY):
-    hier = MemoryHierarchy(
-        rng=np.random.default_rng(5), kernel=KERNEL_SOA, **geometry
-    )
+    hier = MemoryHierarchy(rng=np.random.default_rng(5), **geometry)
     engine = MatchEngine(hier, scan_batch=scan_batch)
     queue = LinkedListOfArrays(K, port=engine)
     for i in range(DEPTH):

@@ -1,23 +1,21 @@
 #!/usr/bin/env python
 """Emit benchmark results as machine-readable JSON artifacts.
 
-CI runs this after the test suites and uploads ``BENCH_kernel.json`` (the
-reference/soa/vec kernel speedup ladder), ``BENCH_scan.json`` (the batched-scan
-vs per-slot queue traversal speedup), ``BENCH_traffic.json`` (the
+CI runs this after the test suites and uploads ``BENCH_scan.json`` (the
+batched-scan vs per-slot queue traversal speedup), ``BENCH_traffic.json`` (the
 open-loop traffic driver's events/sec), and ``BENCH_service.json`` (the
 sweep service's warm-store supervision overhead) so each trajectory is
 preserved per commit — a perf regression then shows up as a trend break in the artifact
 history, not just as a (retried, noise-tolerant) gate failure in one run.
 
 Standalone — no pytest. Reuses the interleaved best-of timing and the
-bit-identity assertions from :mod:`bench_access_path`,
-:mod:`bench_queue_scan`, and :mod:`bench_traffic`, so a backend, scan-mode,
-or traffic-replay divergence fails the script (exit 1) before any JSON is
-written.
+bit-identity assertions from :mod:`bench_queue_scan` and
+:mod:`bench_traffic`, so a scan-mode or traffic-replay divergence fails the
+script (exit 1) before any JSON is written.
 
 Usage::
 
-    python benchmarks/bench_to_json.py [kernel.json [scan.json [traffic.json [service.json]]]]
+    python benchmarks/bench_to_json.py [scan.json [traffic.json [service.json]]]
 """
 
 from __future__ import annotations
@@ -37,23 +35,7 @@ sys.dont_write_bytecode = True
 
 import bench_queue_scan  # noqa: E402
 import bench_traffic  # noqa: E402
-from bench_access_path import (  # noqa: E402
-    KERNEL_GATES,
-    KERNEL_SCENARIOS,
-    MIN_KERNEL_SPEEDUP,
-    ROUNDS,
-    time_kernels,
-)
 from repro.matching.port import resolve_scan_batch  # noqa: E402
-from repro.mem.cache import EvictionPolicy  # noqa: E402
-from repro.mem.kernel import (  # noqa: E402
-    DEFAULT_KERNEL,
-    KERNEL_REFERENCE,
-    KERNEL_SOA,
-    KERNEL_VEC,
-)
-
-POLICIES = (EvictionPolicy.LRU, EvictionPolicy.PLRU)
 
 
 def _environment():
@@ -62,27 +44,6 @@ def _environment():
         "machine": platform.machine(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-
-
-def collect():
-    scenarios = []
-    for policy in POLICIES:
-        for name, make_stream in KERNEL_SCENARIOS:
-            timing = time_kernels(policy, make_stream())
-            scenarios.append(
-                {
-                    "policy": policy,
-                    "workload": name,
-                    "reference_ms": round(timing[KERNEL_REFERENCE] * 1e3, 3),
-                    "soa_ms": round(timing[KERNEL_SOA] * 1e3, 3),
-                    "vec_ms": round(timing[KERNEL_VEC] * 1e3, 3),
-                    "soa_speedup": round(
-                        timing[KERNEL_REFERENCE] / timing[KERNEL_SOA], 3),
-                    "vec_speedup": round(
-                        timing[KERNEL_SOA] / timing[KERNEL_VEC], 3),
-                }
-            )
-    return scenarios
 
 
 def collect_scan():
@@ -100,35 +61,6 @@ def collect_scan():
             }
         )
     return scenarios
-
-
-def write_kernel(out: Path) -> None:
-    scenarios = collect()
-    doc = {
-        "benchmark": "mem-kernel-backends",
-        "default_kernel": DEFAULT_KERNEL,
-        "gates": [
-            {
-                "policy": "lru",
-                "fast": fast,
-                "baseline": base,
-                "workload": workload,
-                "min_speedup": MIN_KERNEL_SPEEDUP,
-            }
-            for fast, base, workload, _make in KERNEL_GATES
-        ],
-        "timing": {"rounds": ROUNDS, "statistic": "best-of"},
-        "environment": _environment(),
-        "scenarios": scenarios,
-    }
-    out.write_text(json.dumps(doc, indent=2) + "\n")
-    for row in scenarios:
-        print(
-            "{policy:>5} {workload:>14}: reference {reference_ms:8.2f}ms  "
-            "soa {soa_ms:8.2f}ms  vec {vec_ms:8.2f}ms  "
-            "soa/ref {soa_speedup:.2f}x  vec/soa {vec_speedup:.2f}x".format(**row)
-        )
-    print(f"wrote {out}")
 
 
 def write_scan(out: Path) -> None:
@@ -222,10 +154,9 @@ def write_service(out: Path) -> None:
 
 
 def main(argv):
-    write_kernel(Path(argv[1]) if len(argv) > 1 else Path("BENCH_kernel.json"))
-    write_scan(Path(argv[2]) if len(argv) > 2 else Path("BENCH_scan.json"))
-    write_traffic(Path(argv[3]) if len(argv) > 3 else Path("BENCH_traffic.json"))
-    write_service(Path(argv[4]) if len(argv) > 4 else Path("BENCH_service.json"))
+    write_scan(Path(argv[1]) if len(argv) > 1 else Path("BENCH_scan.json"))
+    write_traffic(Path(argv[2]) if len(argv) > 2 else Path("BENCH_traffic.json"))
+    write_service(Path(argv[3]) if len(argv) > 3 else Path("BENCH_service.json"))
     return 0
 
 

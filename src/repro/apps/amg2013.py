@@ -72,19 +72,15 @@ def fig8_plan(
     scales: Sequence[int] = FIG8_SCALES,
     families: Tuple[str, ...] = ("baseline", "lla-2"),
     seed: int = 0,
-    mem_kernel=None,
 ):
     """Figure 8's grid (scenario ``fig8-amg``): one point per (family, scale)."""
     from repro.scenarios import get_scenario
     from repro.scenarios.builtins import fig8_variants
 
-    base = {"arch": arch}
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     return (
         get_scenario("fig8-amg")
         .with_overrides(
-            base=base,
+            base={"arch": arch},
             matrix={
                 "variant": fig8_variants(families),
                 "nranks": [int(n) for n in scales],

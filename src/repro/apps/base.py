@@ -46,9 +46,6 @@ class AppConfig:
     #: Messages actually pushed through the simulated engine per phase; the
     #: measured mean cost is scaled to the app's full per-phase volume.
     sample_messages: int = 12
-    #: Memory-kernel backend (``soa``/``vec``/``reference``); None resolves via
-    #: ``REPRO_MEM_KERNEL`` then the package default.
-    mem_kernel: Optional[str] = None
 
     def variant_label(self) -> str:
         """Figure-style label for this configuration (e.g. 'HC+LLA')."""
@@ -100,9 +97,7 @@ class MatchPhaseSimulator:
     def __init__(self, cfg: AppConfig) -> None:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.hier = cfg.arch.build_hierarchy(
-            rng=np.random.default_rng(cfg.seed + 1), kernel=cfg.mem_kernel
-        )
+        self.hier = cfg.arch.build_hierarchy(rng=np.random.default_rng(cfg.seed + 1))
         self.engine = MatchEngine(self.hier)
         prq = make_queue(
             cfg.queue_family,

@@ -101,7 +101,6 @@ def fig10_plan(
     scales: Sequence[int] = FIG10_SCALES,
     variants=FIG10_VARIANTS,
     seed: int = 0,
-    mem_kernel=None,
 ):
     """Figure 10's grid: per-platform baselines first, then the variants.
 
@@ -111,13 +110,9 @@ def fig10_plan(
     from repro.scenarios import get_scenario
     from repro.scenarios.builtins import fig10_platforms, fig10_variant_values
 
-    base = {}
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     return (
         get_scenario("fig10-fds")
         .with_overrides(
-            base=base or None,
             matrix={
                 # nranks appears in both grids, so this hits baselines and
                 # variants alike; platform/variant each hit their own grid.

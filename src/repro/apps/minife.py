@@ -71,19 +71,15 @@ def fig9_plan(
     families: Tuple[str, ...] = ("baseline", "lla-2"),
     nranks: int = FIG9_NRANKS,
     seed: int = 0,
-    mem_kernel=None,
 ):
     """Figure 9's grid (scenario ``fig9-minife``): (family, list length)."""
     from repro.scenarios import get_scenario
     from repro.scenarios.builtins import fig9_variants
 
-    base = {"arch": arch, "nranks": int(nranks)}
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     return (
         get_scenario("fig9-minife")
         .with_overrides(
-            base=base,
+            base={"arch": arch, "nranks": int(nranks)},
             matrix={
                 "variant": fig9_variants(families),
                 "match_list_length": [int(n) for n in lengths],

@@ -102,14 +102,11 @@ class ArchSpec:
         rng: Optional[np.random.Generator] = None,
         prefetch_enabled: bool = True,
         prefetcher: Optional[str] = None,
-        kernel: Optional[str] = None,
     ) -> MemoryHierarchy:
         """Instantiate a simulated socket of this architecture.
 
         *n_cores* defaults to 2: one matching core plus one heater core; the
-        figures never need more on a single socket. ``kernel`` selects the
-        memory-kernel backend (``soa``/``vec``/``reference``; None resolves
-        via ``REPRO_MEM_KERNEL`` then the default). ``prefetcher`` selects
+        figures never need more on a single socket. ``prefetcher`` selects
         a prefetch-unit configuration from
         :data:`~repro.mem.prefetch.PREFETCHER_MODES` (``default``/``none``/
         ``chase``/``chase-only``); None falls back to the boolean
@@ -172,5 +169,4 @@ class ArchSpec:
             rng=rng,
             dram_stream_coverage=self.dram_stream_coverage,
             l3_stream_coverage=self.l3_stream_coverage,
-            kernel=kernel,
         )

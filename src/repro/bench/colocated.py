@@ -68,7 +68,6 @@ def colocated_point(
     working_set_bytes: int = 4 * 1024 * 1024,
     iterations: int = 2,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
 ) -> float:
     """Rank 0's mean cold-phase search cycles for one (mechanism, N) cell."""
     if nranks + 1 > arch.cores_per_socket:
@@ -81,7 +80,6 @@ def colocated_point(
         n_cores=nranks + 1,  # + heater core
         partition=partition,
         rng=np.random.default_rng(seed + 1),
-        kernel=mem_kernel,
     )
     engine = MatchEngine(hier)
     q = make_queue(
@@ -128,7 +126,6 @@ def colocated_plan(
     working_set_bytes: int = 4 * 1024 * 1024,
     iterations: int = 2,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
 ) -> "ExperimentPlan":
     """The study's grid (scenario ``colocated``; mechanism-major order)."""
     from repro.scenarios import get_scenario
@@ -145,8 +142,6 @@ def colocated_plan(
         "working_set_bytes": int(working_set_bytes),
         "iterations": int(iterations),
     }
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     return (
         get_scenario("colocated")
         .with_overrides(

@@ -62,15 +62,12 @@ def _expand_panel(
     xs: Optional[Sequence[int]],
     variants: Optional[Sequence[Tuple[str, str, bool]]],
     seed: int,
-    mem_kernel: Optional[str],
 ) -> ExperimentPlan:
     """Apply a panel's overrides to its built-in scenario and expand."""
     from repro.scenarios import get_scenario
     from repro.scenarios.builtins import figure_variants
 
     base = {"arch": arch, **base}
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     matrix = {}
     if xs is not None:
         matrix[x_axis] = list(xs)
@@ -90,7 +87,6 @@ def plan_spatial_msg_size(
     msg_sizes: Optional[Sequence[int]] = None,
     iterations: int = 10,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
     variants: Optional[Sequence[Tuple[str, str, bool]]] = None,
 ) -> ExperimentPlan:
     """The grid behind Figures 4a / 5a (scenario ``spatial-msg-size``)."""
@@ -102,7 +98,6 @@ def plan_spatial_msg_size(
         xs=msg_sizes,
         variants=variants,
         seed=seed,
-        mem_kernel=mem_kernel,
     )
 
 
@@ -113,7 +108,6 @@ def plan_spatial_search_length(
     depths: Optional[Sequence[int]] = None,
     iterations: int = 10,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
     variants: Optional[Sequence[Tuple[str, str, bool]]] = None,
 ) -> ExperimentPlan:
     """The grid behind Figures 4b/c and 5b/c (``spatial-search-length``)."""
@@ -125,7 +119,6 @@ def plan_spatial_search_length(
         xs=depths,
         variants=variants,
         seed=seed,
-        mem_kernel=mem_kernel,
     )
 
 
@@ -136,7 +129,6 @@ def plan_temporal_msg_size(
     msg_sizes: Optional[Sequence[int]] = None,
     iterations: int = 10,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
     variants: Optional[Sequence[Tuple[str, str, bool]]] = None,
 ) -> ExperimentPlan:
     """The grid behind Figures 6a / 7a (scenario ``temporal-msg-size``)."""
@@ -148,7 +140,6 @@ def plan_temporal_msg_size(
         xs=msg_sizes,
         variants=variants,
         seed=seed,
-        mem_kernel=mem_kernel,
     )
 
 
@@ -159,7 +150,6 @@ def plan_temporal_search_length(
     depths: Optional[Sequence[int]] = None,
     iterations: int = 10,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
     variants: Optional[Sequence[Tuple[str, str, bool]]] = None,
 ) -> ExperimentPlan:
     """The grid behind Figures 6b/c / 7b/c (``temporal-search-length``)."""
@@ -171,7 +161,6 @@ def plan_temporal_search_length(
         xs=depths,
         variants=variants,
         seed=seed,
-        mem_kernel=mem_kernel,
     )
 
 

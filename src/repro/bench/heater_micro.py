@@ -16,7 +16,6 @@ shared L3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,7 +48,6 @@ def heater_microbenchmark(
     region_bytes: int = 4 * 1024 * 1024,
     samples: int = 2048,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
 ) -> HeaterMicroResult:
     """Measure mean random-access iteration time, cold vs heated."""
     rng = np.random.default_rng(seed)
@@ -57,7 +55,7 @@ def heater_microbenchmark(
     nlines = region_bytes // LINE_SIZE
 
     def measure(heated: bool) -> float:
-        hier = arch.build_hierarchy(kernel=mem_kernel)
+        hier = arch.build_hierarchy()
         heater = None
         if heated:
             heater = Heater(hier, arch.ghz, HeaterConfig(locked=False))
@@ -90,7 +88,6 @@ def heater_micro_plan(
     region_bytes: int = 4 * 1024 * 1024,
     samples: int = 2048,
     seed: int = 0,
-    mem_kernel: Optional[str] = None,
 ):
     """The micro-benchmark as a declarative plan (scenario ``heater-micro``).
 
@@ -100,8 +97,6 @@ def heater_micro_plan(
     from repro.scenarios import get_scenario
 
     base = {"region_bytes": int(region_bytes), "samples": int(samples)}
-    if mem_kernel is not None:
-        base["mem_kernel"] = mem_kernel
     return (
         get_scenario("heater-micro")
         .with_overrides(base=base, matrix={"arch": list(archs)}, seed=seed)

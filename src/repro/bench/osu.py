@@ -75,9 +75,6 @@ class OsuConfig:
     #: Prefetch-unit configuration (``default``/``none``/``chase``/
     #: ``chase-only``); None falls back to the *prefetch_enabled* boolean.
     prefetcher: Optional[str] = None
-    #: Memory-kernel backend (``soa``/``vec``/``reference``); None resolves
-    #: via ``REPRO_MEM_KERNEL`` then the package default.
-    mem_kernel: Optional[str] = None
 
     def variant_label(self) -> str:
         """Figure-style label for this configuration (e.g. 'HC+LLA')."""
@@ -118,7 +115,6 @@ class _OsuSession:
             rng=np.random.default_rng(cfg.seed + 1),
             prefetch_enabled=cfg.prefetch_enabled,
             prefetcher=cfg.prefetcher,
-            kernel=cfg.mem_kernel,
         )
         self.engine = MatchEngine(self.hier)
         prq = make_queue(

@@ -653,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser (shared flags live on parents)."""
     from repro._version import __version__
     from repro.matching.port import SCAN_BATCH_ENV
-    from repro.mem.kernel import ALL_KERNELS, DEFAULT_KERNEL, MEM_KERNEL_ENV
     from repro.traffic.mode import TRAFFIC_BATCH_ENV
 
     parser = argparse.ArgumentParser(
@@ -672,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="root RNG seed (default 0; 'repro run' defaults "
                         "to the scenario file's own seed)")
-    common.add_argument("--mem-kernel", choices=sorted(ALL_KERNELS), default=None,
-                        help="cache-kernel backend (default: "
-                        f"${MEM_KERNEL_ENV} or '{DEFAULT_KERNEL}'); all "
-                        "backends are bit-identical, 'vec' is fastest on "
-                        "wide spans")
     common.add_argument("--scan-batch", choices=["on", "off"], default=None,
                         help="queue-scan spelling (default: "
                         f"${SCAN_BATCH_ENV} or 'on'); both are bit-identical, "
@@ -808,17 +802,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         _cmd_list(args)
         return 0
-    if getattr(args, "mem_kernel", None):
-        # Exported rather than threaded: every plan builder resolves the
-        # kernel through resolve_kernel(), which consults this variable.
-        import os
-
-        from repro.mem.kernel import MEM_KERNEL_ENV
-
-        os.environ[MEM_KERNEL_ENV] = args.mem_kernel
     if getattr(args, "scan_batch", None):
-        # Same mechanism: every MatchEngine resolves the scan spelling
-        # through resolve_scan_batch(), which consults this variable.
+        # Exported rather than threaded: every MatchEngine resolves the scan
+        # spelling through resolve_scan_batch(), which consults this variable.
         import os
 
         from repro.matching.port import SCAN_BATCH_ENV

@@ -135,7 +135,6 @@ def _osu_producer(params: Dict[str, object], seed: int) -> PointResult:
         ),
         prefetch_enabled=bool(params.get("prefetch_enabled", True)),
         prefetcher=params.get("prefetcher"),
-        mem_kernel=params.get("mem_kernel"),
     )
     point = osu_bandwidth(cfg)
     return PointResult(
@@ -168,7 +167,6 @@ def _app_producer(params: Dict[str, object], seed: int) -> PointResult:
         heated=bool(params.get("heated", False)),
         fragmented=bool(params.get("fragmented", False)),
         seed=seed,
-        mem_kernel=params.get("mem_kernel"),
     )
     result = app.run(cfg)
     return PointResult(
@@ -195,7 +193,6 @@ def _heater_micro_producer(params: Dict[str, object], seed: int) -> PointResult:
         region_bytes=int(params.get("region_bytes", 4 * 1024 * 1024)),
         samples=int(params.get("samples", 2048)),
         seed=seed,
-        mem_kernel=params.get("mem_kernel"),
     )
     return PointResult(
         y=result.cold_ns,
@@ -215,7 +212,6 @@ def _colocated_producer(params: Dict[str, object], seed: int) -> PointResult:
         working_set_bytes=int(params.get("working_set_bytes", 4 * 1024 * 1024)),
         iterations=int(params.get("iterations", 2)),
         seed=seed,
-        mem_kernel=params.get("mem_kernel"),
     )
     return PointResult(y=cycles)
 
@@ -235,7 +231,6 @@ def _traffic_producer(params: Dict[str, object], seed: int) -> PointResult:
         arch=resolve_arch(params["arch"]),
         queue_family=params.get("queue_family", "baseline"),
         heated=bool(params.get("heated", False)),
-        mem_kernel=params.get("mem_kernel"),
         fragmented=bool(params.get("fragmented", False)),
         seed=seed,
         arrival_rate=float(params.get("arrival_rate", 0.2)),
@@ -280,7 +275,7 @@ def _offload_producer(params: Dict[str, object], seed: int) -> PointResult:
     nic = nics[nic_name]
     arch = resolve_arch(params["arch"])
     depth = int(params["depth"])
-    hier = arch.build_hierarchy(kernel=params.get("mem_kernel"))
+    hier = arch.build_hierarchy()
     engine = MatchEngine(hier)
     q = make_queue("baseline", port=engine, rng=np.random.default_rng(seed + 1))
     if nic is not None:

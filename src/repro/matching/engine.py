@@ -196,7 +196,7 @@ class MatchEngine(MemoryPort):
 
         Probe spans ascend and never overlap (spacing >= size), so each
         line's visits are contiguous in the global visit sequence — the
-        property all kernel backends' recency replays rely on. Lines nobody
+        property :meth:`MemoryHierarchy.access_run` relies on. Lines nobody
         visits (inside inter-probe gaps) are dropped here so the apply
         path never sees them. Returns ``(pv, lines, vis, total, nloads)``:
         per-probe line counts in probe order, the visited absolute line

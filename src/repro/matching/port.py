@@ -47,7 +47,7 @@ def resolve_scan_batch(value: Optional[Union[bool, str]] = None) -> bool:
     """Resolve the scan-batch mode: argument beats environment beats default.
 
     Accepts booleans or the strings ``"on"``/``"off"`` (the CLI and
-    environment spelling, mirroring ``REPRO_MEM_KERNEL`` precedence).
+    environment spelling).
     """
     if value is None:
         value = os.environ.get(SCAN_BATCH_ENV) or DEFAULT_SCAN_BATCH

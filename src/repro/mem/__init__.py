@@ -11,15 +11,9 @@ This package stands in for the real x86 memory hierarchies the paper measures
   list).
 * :mod:`~repro.mem.cache` -- set-associative caches with LRU / tree-PLRU /
   random eviction and way-partition support (the "semi-permanent occupancy"
-  proposal): the auditable *reference* kernel backend.
-* :mod:`~repro.mem.soa` -- the structure-of-arrays cache backend (flat
-  tag/flag/penalty/recency slabs, batched run processing): the default
-  kernel, bit-identical to the reference backend.
-* :mod:`~repro.mem.vec` -- the numpy-vectorized cache backend (contiguous
-  tag/stamp slabs, whole-span range-scan probes): fastest on warm wide
-  spans, bit-identical to the other two kernels.
-* :mod:`~repro.mem.kernel` -- backend selection (``--mem-kernel`` /
-  ``REPRO_MEM_KERNEL`` / :data:`~repro.mem.kernel.DEFAULT_KERNEL`).
+  proposal): the simulator's one cache kernel, a dict per set plus a
+  recency list.
+* :mod:`~repro.mem.kernel` -- the name of that kernel, for run reports.
 * :mod:`~repro.mem.prefetch` -- the prefetchers the paper's analysis leans
   on: L1 next-line (DCU), L2 adjacent-line pair ("spatial"), and the L2
   streamer — plus the hypothetical pointer-chase unit the ``prefetch-chase``
@@ -45,16 +39,7 @@ from repro.mem.cache import (
     WayPartition,
 )
 from repro.mem.hierarchy import Core, MemoryHierarchy, NetworkCacheConfig
-from repro.mem.kernel import (
-    ALL_KERNELS,
-    DEFAULT_KERNEL,
-    KERNEL_REFERENCE,
-    KERNEL_SOA,
-    KERNEL_VEC,
-    MEM_KERNEL_ENV,
-    cache_class,
-    resolve_kernel,
-)
+from repro.mem.kernel import KERNEL_REFERENCE, resolve_kernel
 from repro.mem.layout import LINE_SIZE, line_of, line_span, lines_touched
 from repro.mem.result import AccessResult, LevelStats
 from repro.mem.prefetch import (
@@ -64,20 +49,10 @@ from repro.mem.prefetch import (
     Prefetcher,
     StreamerPrefetcher,
 )
-from repro.mem.soa import SoACache
-from repro.mem.vec import VecCache
 
 __all__ = [
-    "ALL_KERNELS",
     "AccessResult",
-    "DEFAULT_KERNEL",
     "KERNEL_REFERENCE",
-    "KERNEL_SOA",
-    "KERNEL_VEC",
-    "MEM_KERNEL_ENV",
-    "SoACache",
-    "VecCache",
-    "cache_class",
     "resolve_kernel",
     "Allocation",
     "AdjacentPairPrefetcher",

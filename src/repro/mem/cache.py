@@ -108,11 +108,11 @@ def validate_geometry(
     partition: Optional[WayPartition],
     rng: Optional[np.random.Generator],
 ) -> int:
-    """Validate a cache geometry shared by every kernel backend.
+    """Validate a cache geometry; returns the number of sets.
 
-    Returns the number of sets. Both :class:`SetAssociativeCache` and the
-    structure-of-arrays backend (:class:`repro.mem.soa.SoACache`) accept the
-    same constructor surface and must reject the same configurations.
+    Raises :class:`ConfigurationError` for a size that is not a whole
+    number of ``assoc``-way sets, a set count that is not a power of two,
+    an unknown policy, RANDOM without an rng, or an oversized partition.
     """
     if size_bytes % (assoc * LINE_SIZE):
         raise ConfigurationError(
@@ -281,8 +281,8 @@ class SetAssociativeCache:
         random = self.policy == EvictionPolicy.RANDOM
         if self.partition is not None and filling_cls == CLS_DEFAULT:
             # Only the partition scan needs a full candidate ordering; RANDOM
-            # draws one permutation here. The SoA backend consumes the RNG
-            # identically, so seeded victim sequences match across backends.
+            # draws one permutation here; its variates are part of the seeded
+            # victim sequence the golden tests pin.
             if random:
                 candidates = [order[i] for i in self._rng.permutation(len(order))]
             else:

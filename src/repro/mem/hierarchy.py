@@ -40,12 +40,6 @@ from repro.mem.cache import (
     SetAssociativeCache,
     WayPartition,
 )
-from repro.mem.kernel import (
-    KERNEL_REFERENCE,
-    KERNEL_VEC,
-    cache_class,
-    resolve_kernel,
-)
 from repro.mem.layout import LINE_SHIFT
 from repro.mem.prefetch import (
     AdjacentPairPrefetcher,
@@ -54,13 +48,6 @@ from repro.mem.prefetch import (
     StreamerPrefetcher,
 )
 from repro.mem.result import AccessResult
-
-#: Narrowest span/run the vec kernel probes as an array primitive; shorter
-#: transactions (the match engine's 1-2 line node loads, short payloads)
-#: delegate straight to the SoA scalar paths, which beat numpy's fixed
-#: per-op costs below roughly two cache-lines-per-set worth of lines.
-_VEC_MIN_SPAN = 128
-_VEC_MIN_RUN = 128
 
 
 @dataclass(frozen=True)
@@ -71,15 +58,15 @@ class NetworkCacheConfig:
     size_bytes: int = 2048
     latency: float = 4.0
 
-    def build(self, core_id: int, kernel: Optional[str] = None):
-        # Fully associative within a single set keeps the tiny cache simple.
+    def build(self, core_id: int) -> SetAssociativeCache:
         """Construct the per-core cache this config describes."""
+        # Fully associative within a single set keeps the tiny cache simple.
         nlines = self.size_bytes >> LINE_SHIFT
         if nlines < 1:
             raise ConfigurationError(
                 f"network cache too small: {self.size_bytes} bytes"
             )
-        return cache_class(kernel)(
+        return SetAssociativeCache(
             f"netcache{core_id}", self.size_bytes, nlines, self.latency
         )
 
@@ -110,56 +97,35 @@ class Core:
         # batched access paths pay one attribute load plus a tuple unpack
         # instead of ~20 chained lookups per call. Everything here is fixed
         # after construction (prefetcher lists are mutated in place by
-        # ``reset()``, never replaced; SoA slabs are mutated in place, never
-        # rebound). The tuple *shapes* differ per backend — each backend's
-        # access method unpacks only its own shape.
+        # ``reset()``, never replaced; the per-set dicts and recency lists
+        # are mutated in place, never rebound).
         lru = l1.policy == EvictionPolicy.LRU
         plru = l1.policy == EvictionPolicy.PLRU
-        if isinstance(l1, SetAssociativeCache):
-            self.hot = (
-                l1,
-                l2,
-                l1._sets,
-                l1._order,
-                l1._set_mask,
-                lru,
-                plru,
-                l1.latency,
-                l1.stats,
-                l2.stats,
-                self.l1_prefetchers,
-                self.l2_prefetchers,
-            )
-            # Smaller variant for the leading L1-hit run (the match engine's
-            # node loads are almost always exactly this shape).
-            self.hot1 = (
-                l1._sets,
-                l1._order,
-                l1._set_mask,
-                lru,
-                plru,
-                l1.latency,
-                l1.stats,
-            )
-        else:
-            # SoA backend: the slabs tuple carries (index.get, flag, pref,
-            # penalty, stamp, order, set_mask); the stamp fast loop also
-            # needs to know whether one multiply can replace the per-hit
-            # latency adds (exact only for integer-valued latencies).
-            self.hot1 = l1.slabs + (
-                lru,
-                plru,
-                l1.latency,
-                float(l1.latency).is_integer(),
-                l1.stats,
-                l1,
-            )
-            self.hot = (l1, l2) + l2.slabs + (
-                l2.latency,
-                l2.stats,
-                self.l1_prefetchers,
-                self.l2_prefetchers,
-            )
+        self.hot = (
+            l1,
+            l2,
+            l1._sets,
+            l1._order,
+            l1._set_mask,
+            lru,
+            plru,
+            l1.latency,
+            l1.stats,
+            l2.stats,
+            self.l1_prefetchers,
+            self.l2_prefetchers,
+        )
+        # Smaller variant for the leading L1-hit run (the match engine's
+        # node loads are almost always exactly this shape).
+        self.hot1 = (
+            l1._sets,
+            l1._order,
+            l1._set_mask,
+            lru,
+            plru,
+            l1.latency,
+            l1.stats,
+        )
 
 
 def default_l1_prefetchers() -> list[Prefetcher]:
@@ -197,14 +163,11 @@ class MemoryHierarchy:
         rng: Optional[np.random.Generator] = None,
         dram_stream_coverage: float = 0.75,
         l3_stream_coverage: float = 0.75,
-        kernel: Optional[str] = None,
     ) -> None:
         if n_cores < 1:
             raise ConfigurationError(f"need at least one core, got {n_cores}")
         if not (0.0 <= dram_stream_coverage <= 1.0 and 0.0 <= l3_stream_coverage <= 1.0):
             raise ConfigurationError("stream coverage fractions must be in [0, 1]")
-        self.kernel = resolve_kernel(kernel)
-        cache_cls = cache_class(self.kernel)
         self.n_cores = n_cores
         self.dram_latency = dram_latency
         self.partition = partition
@@ -216,20 +179,20 @@ class MemoryHierarchy:
         # architecture contrast.
         self.dram_stream_coverage = dram_stream_coverage
         self.l3_stream_coverage = l3_stream_coverage
-        self.l3 = cache_cls(
+        self.l3 = SetAssociativeCache(
             "l3", l3_size, l3_assoc, l3_latency,
             policy=policy, partition=partition, rng=rng,
         )
         self.cores: list[Core] = []
         for cid in range(n_cores):
-            l1 = cache_cls(
+            l1 = SetAssociativeCache(
                 f"l1.{cid}", l1_size, l1_assoc, l1_latency, policy=policy, rng=rng
             )
-            l2 = cache_cls(
+            l2 = SetAssociativeCache(
                 f"l2.{cid}", l2_size, l2_assoc, l2_latency, policy=policy, rng=rng
             )
             netc = (
-                network_cache.build(cid, kernel=self.kernel)
+                network_cache.build(cid)
                 if network_cache is not None
                 else None
             )
@@ -244,30 +207,6 @@ class MemoryHierarchy:
         # bound ``_prefetch_penalty`` in particular is costly to rebuild per
         # call).
         self._hot = (self.l3, self.l3.stats, self.dram_latency, self._prefetch_penalty)
-        if self.kernel != KERNEL_REFERENCE:
-            self._hot_soa = (
-                self.l3,
-                self.l3.stats,
-                self.dram_latency,
-                self._prefetch_penalty,
-                policy == EvictionPolicy.LRU,
-                policy == EvictionPolicy.PLRU,
-            )
-            # Bound instance attributes shadow the reference class methods:
-            # backend dispatch costs nothing per call, and callers that
-            # prebind ``hierarchy.access_lines``/``touch_shared_tx`` (the
-            # match engine, the heater) transparently get the SoA kernel.
-            self.access_lines = self._access_lines_soa
-            self.touch_shared_tx = self._touch_shared_tx_soa
-            self.run_latency = self._run_latency_soa
-            self.access_run = self._access_run_soa
-            if self.kernel == KERNEL_VEC:
-                # The vec kernel rides the SoA slab paths (VecCache slabs
-                # are op-compatible) and puts a whole-span vector probe in
-                # front of them: all-hit flag-free spans are served as
-                # array primitives, everything else delegates untouched.
-                self.access_lines = self._access_lines_vec
-                self.access_run = self._access_run_vec
 
     # -- the demand path ----------------------------------------------------
 
@@ -506,369 +445,6 @@ class MemoryHierarchy:
         res.penalty_cycles = penalty_cycles
         return res
 
-    def _access_lines_soa(
-        self,
-        core_id: int,
-        first: int,
-        last: int,
-        cls: int = CLS_DEFAULT,
-        out: Optional[AccessResult] = None,
-    ) -> AccessResult:
-        """Batched demand traversal on the structure-of-arrays backend.
-
-        Shadows :meth:`access_lines` when the SoA kernel is selected. The
-        leading L1-hit run — the entire transaction for warm queue spans —
-        is processed by a monomorphic stamp loop over the flat slabs: one
-        dict probe, one combined attention-flag test and one recency-stamp
-        store per line, with the charged cycles materialized as a single
-        multiply at the end (exact for integer-valued L1 latencies; the
-        first penalized hit falls back to the reference accumulation order
-        so float results stay bit-identical). No per-line allocation
-        anywhere: misses fall through to a general loop whose L1/L2/L3 and
-        netcache probes are inlined slab operations.
-        """
-        n = last - first + 1
-        if n <= 0:
-            if out is None:
-                return AccessResult()
-            out.reset()
-            return out
-        self.demand_accesses += n
-        core = self.cores[core_id]
-        netc = core.netcache
-        cycles = 0.0
-        l1_hits = 0
-        l1_covered = 0
-        pf_covered = 0
-        penalty_cycles = 0.0
-        line = first
-        (l1_get, l1_flag, l1_pref, l1_pen, l1_stamp, l1_orders, l1_mask,
-         l1_lru, l1_plru, l1_lat, l1_lat_int, l1_stats, l1) = core.hot1
-        if netc is None or cls != CLS_NETWORK:
-            seq = True
-            if l1_lru and l1_lat_int:
-                # Stamp loop over the leading hit run: one dict probe, one
-                # stamp store and one flag test per line, no cache-object
-                # attribute access. Short runs (1-2 line node loads, the
-                # match engine's dominant shape) take a plain while loop;
-                # longer spans amortize an ``enumerate``/``range`` iterator
-                # whose C-level increment beats per-line Python adds.
-                t = l1._tick
-                miss_at = -1
-                pen = 0.0
-                ln = first
-                if not l1._nflagged:
-                    # No prefetched/penalized line anywhere in L1 (the
-                    # steady state of a warm stream): pure probe + stamp.
-                    # A hit cannot need flag handling, and fills only
-                    # happen after a miss breaks out, so the counter
-                    # cannot become nonzero mid-run.
-                    if n <= 3:
-                        while ln <= last:
-                            slot = l1_get(ln)
-                            if slot is None:
-                                miss_at = ln
-                                break
-                            l1_stamp[slot] = t
-                            t += 1
-                            ln += 1
-                    else:
-                        # ``map`` runs the dict probe at C level; the line
-                        # number is recovered from the tick delta on a miss.
-                        t0 = t
-                        for t, slot in enumerate(map(l1_get, range(first, last + 1)), t):
-                            if slot is None:
-                                miss_at = first + t - t0
-                                break
-                            l1_stamp[slot] = t
-                        else:
-                            t += 1
-                elif n <= 3:
-                    while ln <= last:
-                        slot = l1_get(ln)
-                        if slot is None:
-                            miss_at = ln
-                            break
-                        l1_stamp[slot] = t
-                        t += 1
-                        if l1_flag[slot]:
-                            l1_flag[slot] = 0
-                            l1._nflagged -= 1
-                            if l1_pref[slot]:
-                                l1_pref[slot] = 0
-                                l1_covered += 1
-                            pen = l1_pen[slot]
-                            if pen:
-                                l1_pen[slot] = 0.0
-                                break
-                        ln += 1
-                else:
-                    t0 = t
-                    for t, slot in enumerate(map(l1_get, range(first, last + 1)), t):
-                        if slot is None:
-                            miss_at = first + t - t0
-                            break
-                        l1_stamp[slot] = t
-                        if l1_flag[slot]:
-                            l1_flag[slot] = 0
-                            l1._nflagged -= 1
-                            if l1_pref[slot]:
-                                l1_pref[slot] = 0
-                                l1_covered += 1
-                            pen = l1_pen[slot]
-                            if pen:
-                                l1_pen[slot] = 0.0
-                                break
-                    else:
-                        t += 1
-                    if pen:
-                        ln = first + t - t0
-                        t += 1  # the penalized line's stamp was consumed
-                l1._tick = t  # t is the next unused tick in every case
-                if pen:
-                    # First penalized hit: materialize the deferred cycles
-                    # in the reference accumulation order, then continue
-                    # line by line (penalized runs are rare).
-                    hits = ln - first
-                    cycles = hits * l1_lat
-                    penalty_cycles += pen
-                    cycles += l1_lat + pen
-                    l1_hits = hits + 1
-                    line = ln + 1
-                elif miss_at >= 0:
-                    # The breaking line consumed no tick.
-                    l1_hits = miss_at - first
-                    cycles = l1_hits * l1_lat
-                    line = miss_at
-                    seq = False
-                else:
-                    # Pure-hit transaction: one multiply replaces n adds
-                    # (bit-exact: integer-valued floats accumulate exactly).
-                    l1_stats.hits += n
-                    if l1_covered:
-                        l1_stats.prefetch_hits += l1_covered
-                    res = out if out is not None else AccessResult()
-                    res.lines = n
-                    res.cycles = n * l1_lat
-                    res.netcache_hits = 0
-                    res.l1_hits = n
-                    res.l2_hits = 0
-                    res.l3_hits = 0
-                    res.dram_fills = 0
-                    res.prefetch_covered = l1_covered
-                    res.penalty_cycles = 0.0
-                    return res
-            if seq:
-                # Scalar prefix for PLRU/RANDOM/non-integer latencies (and
-                # the tail of a penalized run): reference op order on slabs.
-                while line <= last:
-                    slot = l1_get(line)
-                    if slot is None:
-                        break
-                    if l1_flag[slot]:
-                        l1_flag[slot] = 0
-                        l1._nflagged -= 1
-                        if l1_pref[slot]:
-                            l1_pref[slot] = 0
-                            l1_covered += 1
-                        pen = l1_pen[slot]
-                        if pen:
-                            l1_pen[slot] = 0.0
-                            penalty_cycles += pen
-                    else:
-                        pen = 0.0
-                    if l1_lru:
-                        l1_stamp[slot] = l1._tick
-                        l1._tick += 1
-                    elif l1_plru:
-                        order = l1_orders[line & l1_mask]
-                        order.remove(line)
-                        order.insert(len(order) // 2, line)
-                    l1_hits += 1
-                    cycles += l1_lat + pen
-                    line += 1
-                if line > last:
-                    l1_stats.hits += l1_hits
-                    if l1_covered:
-                        l1_stats.prefetch_hits += l1_covered
-                    res = out if out is not None else AccessResult()
-                    res.lines = n
-                    res.cycles = cycles
-                    res.netcache_hits = 0
-                    res.l1_hits = l1_hits
-                    res.l2_hits = 0
-                    res.l3_hits = 0
-                    res.dram_fills = 0
-                    res.prefetch_covered = l1_covered
-                    res.penalty_cycles = penalty_cycles
-                    return res
-        # Every field of `res` is overwritten below, so a passed-in `out`
-        # needs no reset here.
-        res = out if out is not None else AccessResult()
-        want_netc = netc is not None and cls == CLS_NETWORK
-        (_l1, l2, l2_get, l2_flag, l2_pref, l2_pen, l2_stamp, l2_orders, l2_mask,
-         l2_lat, l2_stats, l1_pf, l2_pf) = core.hot
-        l3, l3_stats, dram_lat, penalty_of, lru, plru = self._hot_soa
-        l3_get, l3_flag, l3_pref, l3_pen, l3_stamp, l3_orders, l3_mask = l3.slabs
-        l3_lat = l3.latency
-        l1_fill = l1.fill
-        l2_fill = l2.fill
-        l3_fill = l3.fill
-        l2_hits = l3_hits = netc_hits = dram_fills = 0
-        l1_misses = 0
-        if want_netc:
-            (netc_get, netc_flag, netc_pref, netc_pen, netc_stamp,
-             netc_orders, netc_mask) = netc.slabs
-            netc_stats = netc.stats
-            netc_lat = netc.latency
-            netc_lru = netc._lru
-            netc_plru = netc._plru
-        for line in range(line, last + 1):
-            if want_netc:
-                # Inlined ``netc.lookup()``: a hit consumes the prefetched
-                # flag but — matching the reference path, which discards the
-                # returned meta — not any residual penalty.
-                slot = netc_get(line)
-                if slot is not None:
-                    netc_stats.hits += 1
-                    if netc_flag[slot] and netc_pref[slot]:
-                        netc_stats.prefetch_hits += 1
-                        netc_pref[slot] = 0
-                        if netc_pen[slot]:
-                            netc_flag[slot] = 1
-                        else:
-                            netc_flag[slot] = 0
-                            netc._nflagged -= 1
-                    if netc_lru:
-                        netc_stamp[slot] = netc._tick
-                        netc._tick += 1
-                    elif netc_plru:
-                        order = netc_orders[line & netc_mask]
-                        order.remove(line)
-                        order.insert(len(order) // 2, line)
-                    netc_hits += 1
-                    cycles += netc_lat
-                    continue
-                netc_stats.misses += 1
-            slot = l1_get(line)
-            if slot is not None:
-                # Inlined SoA L1 hit, bit-identical to ``lookup()`` plus the
-                # caller's penalty consumption; L1 stats batched below.
-                if l1_flag[slot]:
-                    l1_flag[slot] = 0
-                    l1._nflagged -= 1
-                    if l1_pref[slot]:
-                        l1_pref[slot] = 0
-                        l1_covered += 1
-                    pen = l1_pen[slot]
-                    if pen:
-                        l1_pen[slot] = 0.0
-                        penalty_cycles += pen
-                else:
-                    pen = 0.0
-                if l1_lru:
-                    l1_stamp[slot] = l1._tick
-                    l1._tick += 1
-                elif l1_plru:
-                    order = l1_orders[line & l1_mask]
-                    order.remove(line)
-                    order.insert(len(order) // 2, line)
-                l1_hits += 1
-                cycles += l1_lat + pen
-                continue
-            # L1 demand miss, counted exactly as l1.lookup() would have
-            # (deferred to the batched update below).
-            l1_misses += 1
-            # The DCU may fetch ahead.
-            for pf in l1_pf:
-                for pline in pf.observe(line, False):
-                    l1_fill(pline, cls, prefetched=True, penalty=penalty_of(l2, pline))
-            slot = l2_get(line)
-            if slot is not None:
-                l2_stats.hits += 1
-                if l2_flag[slot]:
-                    l2_flag[slot] = 0
-                    l2._nflagged -= 1
-                    if l2_pref[slot]:
-                        l2_pref[slot] = 0
-                        l2_stats.prefetch_hits += 1
-                        pf_covered += 1
-                    pen = l2_pen[slot]
-                    if pen:
-                        l2_pen[slot] = 0.0
-                        penalty_cycles += pen
-                else:
-                    pen = 0.0
-                if lru:
-                    l2_stamp[slot] = l2._tick
-                    l2._tick += 1
-                elif plru:
-                    order = l2_orders[line & l2_mask]
-                    order.remove(line)
-                    order.insert(len(order) // 2, line)
-                l2_hits += 1
-                cycles += l2_lat + pen
-                hit2 = True
-            else:
-                l2_stats.misses += 1
-                hit2 = False
-                slot = l3_get(line)
-                if slot is not None:
-                    l3_stats.hits += 1
-                    if l3_flag[slot]:
-                        l3_flag[slot] = 0
-                        l3._nflagged -= 1
-                        if l3_pref[slot]:
-                            l3_pref[slot] = 0
-                            l3_stats.prefetch_hits += 1
-                            pf_covered += 1
-                        pen = l3_pen[slot]
-                        if pen:
-                            l3_pen[slot] = 0.0
-                            penalty_cycles += pen
-                    else:
-                        pen = 0.0
-                    if lru:
-                        l3_stamp[slot] = l3._tick
-                        l3._tick += 1
-                    elif plru:
-                        order = l3_orders[line & l3_mask]
-                        order.remove(line)
-                        order.insert(len(order) // 2, line)
-                    l3_hits += 1
-                    cycles += l3_lat + pen
-                else:
-                    l3_stats.misses += 1
-                    dram_fills += 1
-                    cycles += dram_lat
-                    l3_fill(line, cls)
-                l2_fill(line, cls)
-            # L2 prefetchers observe every access that reached L2.
-            for pf in l2_pf:
-                for pline in pf.observe(line, hit2):
-                    pen = penalty_of(l2, pline)
-                    l2_fill(pline, cls, prefetched=True, penalty=pen)
-                    l3_fill(pline, cls, prefetched=True)
-            l1_fill(line, cls)
-            if want_netc:
-                netc.fill(line, cls)
-        if l1_hits:
-            l1_stats.hits += l1_hits
-        if l1_misses:
-            l1_stats.misses += l1_misses
-        if l1_covered:
-            l1_stats.prefetch_hits += l1_covered
-        res.lines = n
-        res.cycles = cycles
-        res.netcache_hits = netc_hits
-        res.l1_hits = l1_hits
-        res.l2_hits = l2_hits
-        res.l3_hits = l3_hits
-        res.dram_fills = dram_fills
-        res.prefetch_covered = pf_covered + l1_covered
-        res.penalty_cycles = penalty_cycles
-        return res
-
     # -- the scan-run fast path ---------------------------------------------
 
     def run_latency(self, core_id: int, cls: int = CLS_DEFAULT):
@@ -923,174 +499,6 @@ class MemoryHierarchy:
                 if order[-1] != line:
                     order.remove(line)
                     order.append(line)
-        l1_stats.hits += total
-        self.demand_accesses += total
-        return True
-
-    def _run_latency_soa(self, core_id: int, cls: int = CLS_DEFAULT):
-        """SoA variant of :meth:`run_latency` (same contract)."""
-        core = self.cores[core_id]
-        if core.netcache is not None and cls == CLS_NETWORK:
-            return None
-        hot1 = core.hot1
-        # hot1 = slabs + (lru, plru, lat, lat_int, stats, l1)
-        if hot1[8] or not hot1[10]:  # plru, or non-integer latency
-            return None
-        return hot1[9]
-
-    def _access_run_soa(self, core_id, lines, vis, total):
-        """SoA variant of :meth:`access_run` (same contract).
-
-        The per-visit LRU stamp sequence collapses arithmetically: visits
-        are globally ordered and per-line contiguous, so line ``i``'s final
-        stamp is ``tick0 + cumulative_visits(i) - 1`` and the tick advances
-        by *total* — exactly what per-visit stamping would leave.
-        """
-        core = self.cores[core_id]
-        (l1_get, l1_flag, _l1_pref, _l1_pen, l1_stamp, _l1_orders, _l1_mask,
-         l1_lru, _l1_plru, _l1_lat, _l1_lat_int, l1_stats, l1) = core.hot1
-        slots = list(map(l1_get, lines))
-        if None in slots:
-            return False
-        if l1._nflagged and any(map(l1_flag.__getitem__, slots)):
-            return False
-        if l1_lru:
-            t = l1._tick
-            for slot, v in zip(slots, vis):
-                t += v
-                l1_stamp[slot] = t - 1
-            l1._tick = t
-        l1_stats.hits += total
-        self.demand_accesses += total
-        return True
-
-    # -- the vectorized span paths (vec kernel) ------------------------------
-
-    def _access_lines_vec(
-        self,
-        core_id: int,
-        first: int,
-        last: int,
-        cls: int = CLS_DEFAULT,
-        out: Optional[AccessResult] = None,
-    ) -> AccessResult:
-        """Whole-span demand probe on the numpy-backed ``vec`` kernel.
-
-        Shadows :meth:`access_lines` when the vec kernel is selected. The
-        probe is a single range scan of the L1 tag slab: tags are unique,
-        so ``count(first <= tags <= last) == n`` iff every line of the
-        contiguous span is resident — one boolean reduction answers
-        "all L1 hit?" in O(L1 slots) regardless of span width. All-hit
-        flag-free spans are then served entirely with array primitives
-        (one vectorized ``any`` over the span's attention flags, one
-        scatter for the recency stamps, one multiply for the cycles —
-        exact, since the path requires an integer-valued L1 latency).
-        Anything else — a miss anywhere, a pending prefetch flag or
-        penalty, PLRU recency, netcache interception, or a span too
-        narrow to amortize the numpy fixed costs — delegates the whole
-        untouched span to :meth:`_access_lines_soa`, whose scalar op
-        order is the bit-identity reference.
-        """
-        n = last - first + 1
-        if n < _VEC_MIN_SPAN:
-            return self._access_lines_soa(core_id, first, last, cls, out)
-        core = self.cores[core_id]
-        if core.netcache is not None and cls == CLS_NETWORK:
-            return self._access_lines_soa(core_id, first, last, cls, out)
-        (_l1_get, l1_flag, _l1_pref, _l1_pen, l1_stamp, _l1_orders, _l1_mask,
-         l1_lru, l1_plru, l1_lat, l1_lat_int, l1_stats, l1) = core.hot1
-        if l1_plru or not l1_lat_int:
-            return self._access_lines_soa(core_id, first, last, cls, out)
-        tags = l1._tags
-        intag = (tags >= first) & (tags <= last)
-        if int(np.count_nonzero(intag)) != n:
-            return self._access_lines_soa(core_id, first, last, cls, out)
-        slots = np.nonzero(intag)[0]
-        if l1._nflagged and l1_flag[slots].any():
-            # A prefetched/penalized line inside the span: the scalar path
-            # owns the flag protocol (nothing was mutated yet).
-            return self._access_lines_soa(core_id, first, last, cls, out)
-        if l1_lru:
-            # Line ``first + i`` takes stamp ``tick + i``; recovering the
-            # offset from the tag makes the scatter order-free.
-            t = l1._tick
-            l1_stamp[slots] = (tags[slots] - first) + t
-            l1._tick = t + n
-        # RANDOM keeps insertion-order stamps: hits touch no recency state.
-        l1_stats.hits += n
-        self.demand_accesses += n
-        res = out if out is not None else AccessResult()
-        res.lines = n
-        res.cycles = n * l1_lat
-        res.netcache_hits = 0
-        res.l1_hits = n
-        res.l2_hits = 0
-        res.l3_hits = 0
-        res.dram_fills = 0
-        res.prefetch_covered = 0
-        res.penalty_cycles = 0.0
-        return res
-
-    def _access_run_vec(self, core_id, lines, vis, total):
-        """Vectorized all-L1-hit scan run (same contract as
-        :meth:`access_run`; eligibility was checked via ``run_latency``).
-
-        Residency of the (ascending, distinct, possibly gapped) visited
-        lines is decided from the same single range scan of the tag slab
-        as :meth:`_access_lines_vec`: every in-range resident tag is
-        collected once, so ``len(in-range slots) < len(lines)`` is an
-        immediate miss, a gap-free run is confirmed by count alone, and a
-        gapped run is confirmed by a sorted-tag ``searchsorted``
-        membership test. The per-visit LRU stamp sequence collapses to
-        one scatter of ``tick - 1 + cumsum(vis)`` exactly as in
-        :meth:`_access_run_soa`. Returns False with nothing mutated
-        unless every line is resident and flag-free.
-        """
-        n = len(lines)
-        if n < _VEC_MIN_RUN:
-            return self._access_run_soa(core_id, lines, vis, total)
-        core = self.cores[core_id]
-        (_l1_get, l1_flag, _l1_pref, _l1_pen, l1_stamp, _l1_orders, _l1_mask,
-         l1_lru, _l1_plru, _l1_lat, _l1_lat_int, l1_stats, l1) = core.hot1
-        tags = l1._tags
-        first = lines[0]
-        last = lines[-1]
-        intag = (tags >= first) & (tags <= last)
-        slots_in = np.nonzero(intag)[0]
-        if len(slots_in) < n:
-            return False
-        tin = tags[slots_in]
-        if n == last - first + 1:
-            # Gap-free run covering [first, last]: in-range residents are a
-            # subset of the run's lines, so count == n means all resident.
-            if len(slots_in) != n:
-                return False
-            slots = slots_in
-            if l1._nflagged and l1_flag[slots].any():
-                return False
-            if l1_lru:
-                t = l1._tick
-                cum = np.cumsum(vis)
-                l1_stamp[slots] = (t - 1) + cum[tin - first]
-                l1._tick = t + total
-        else:
-            # Gapped run: resident gap lines may sit inside the range, so
-            # membership needs the sorted in-range tags.
-            arr = np.asarray(lines, dtype=np.int64)
-            order = np.argsort(tin)
-            tsort = tin[order]
-            pos = np.searchsorted(tsort, arr)
-            if int(pos[-1]) >= len(tsort) or not np.array_equal(
-                tsort[pos], arr
-            ):
-                return False
-            slots = slots_in[order][pos]
-            if l1._nflagged and l1_flag[slots].any():
-                return False
-            if l1_lru:
-                t = l1._tick
-                l1_stamp[slots] = (t - 1) + np.cumsum(vis)
-                l1._tick = t + total
         l1_stats.hits += total
         self.demand_accesses += total
         return True
@@ -1250,70 +658,6 @@ class MemoryHierarchy:
                 l3_fill(line, cls)
                 installed += 1
             else:
-                refreshed += 1
-            l2_fill(line, cls)
-            l1_fill(line, cls)
-        res.lines = last - first + 1
-        res.l3_hits = refreshed
-        res.dram_fills = installed
-        return res
-
-    def _touch_shared_tx_soa(
-        self,
-        core_id: int,
-        addr: int,
-        nbytes: int,
-        cls: int = CLS_NETWORK,
-        *,
-        out: Optional[AccessResult] = None,
-    ) -> AccessResult:
-        """Heater touch transaction on the structure-of-arrays backend.
-
-        Shadows :meth:`touch_shared_tx` when the SoA kernel is selected.
-        The L3 recency refresh — the heater's entire job — is an inlined
-        slab lookup; a refresh consumes the prefetched flag (bumping
-        ``prefetch_hits``) but, matching the reference path which discards
-        the returned meta, leaves any residual penalty in place.
-        """
-        if out is None:
-            res = AccessResult()
-        else:
-            res = out
-            res.reset()
-        if nbytes <= 0:
-            return res
-        core = self.cores[core_id]
-        first = addr >> LINE_SHIFT
-        last = (addr + nbytes - 1) >> LINE_SHIFT
-        l3, l3_stats, _dram_lat, _penalty_of, lru, plru = self._hot_soa
-        l3_get, l3_flag, l3_pref, l3_pen, l3_stamp, l3_orders, l3_mask = l3.slabs
-        l3_fill = l3.fill
-        l2_fill, l1_fill = core.l2.fill, core.l1.fill
-        refreshed = installed = 0
-        for line in range(first, last + 1):
-            # Refresh recency in the shared cache; fill if absent.
-            slot = l3_get(line)
-            if slot is None:
-                l3_stats.misses += 1
-                l3_fill(line, cls)
-                installed += 1
-            else:
-                l3_stats.hits += 1
-                if l3_flag[slot] and l3_pref[slot]:
-                    l3_stats.prefetch_hits += 1
-                    l3_pref[slot] = 0
-                    if l3_pen[slot]:
-                        l3_flag[slot] = 1
-                    else:
-                        l3_flag[slot] = 0
-                        l3._nflagged -= 1
-                if lru:
-                    l3_stamp[slot] = l3._tick
-                    l3._tick += 1
-                elif plru:
-                    order = l3_orders[line & l3_mask]
-                    order.remove(line)
-                    order.insert(len(order) // 2, line)
                 refreshed += 1
             l2_fill(line, cls)
             l1_fill(line, cls)

@@ -1,77 +1,27 @@
-"""Selection of the memory-kernel backend.
+"""The name of the simulator's one cache kernel.
 
-The simulator ships three implementations of the cache level:
-
-* ``soa`` — :class:`~repro.mem.soa.SoACache`, a structure-of-arrays kernel
-  (flat tag/class/flag/penalty/recency slabs indexed by ``set*assoc+way``)
-  with batched run processing in the hierarchy hot path. The default.
-* ``vec`` — :class:`~repro.mem.vec.VecCache`, the SoA layout with ndarray
-  tag/stamp/flag slabs: whole line spans are probed, stamped and evicted
-  as numpy array primitives, with the SoA scalar paths as fallback for
-  the rare cases (flags, partitions, PLRU, RANDOM RNG draws).
-* ``reference`` — :class:`~repro.mem.cache.SetAssociativeCache`, the
-  original dict-per-set + recency-list implementation. Slower, but simple
-  enough to audit by eye; both other kernels are required to be
-  bit-identical to it (counters, charged cycles, recency order, RNG
-  consumption).
-
-Selection precedence, highest first:
-
-1. an explicit ``kernel=...`` argument (CLI ``--mem-kernel``, config
-   fields, baked sweep-plan params),
-2. the ``REPRO_MEM_KERNEL`` environment variable,
-3. :data:`DEFAULT_KERNEL`.
-
-Sweep plans resolve the kernel at *plan build* time and bake the resolved
-name into every point's params, so :class:`~repro.exp.store.ResultStore`
-content keys differ per backend and cached results can never be served
-across backends.
+:class:`~repro.mem.cache.SetAssociativeCache` (dict-per-set plus a recency
+list) is the only cache-level implementation; this module names it for
+callers that report which kernel a run used.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.errors import ConfigurationError
 
-#: Structure-of-arrays kernel (the default).
-KERNEL_SOA = "soa"
-#: Numpy-vectorized kernel: SoA layout with ndarray slabs + span primitives.
-KERNEL_VEC = "vec"
-#: Original dict-per-set implementation, kept as the equivalence oracle.
+#: The dict-per-set kernel in :mod:`repro.mem.cache`.
 KERNEL_REFERENCE = "reference"
-#: Every selectable backend name.
-ALL_KERNELS = (KERNEL_SOA, KERNEL_VEC, KERNEL_REFERENCE)
-#: Backend used when neither an argument nor the environment chooses one.
-DEFAULT_KERNEL = KERNEL_SOA
-#: Environment variable consulted when no explicit kernel is given.
-MEM_KERNEL_ENV = "REPRO_MEM_KERNEL"
 
 
 def resolve_kernel(name: Optional[str] = None) -> str:
-    """Resolve a backend name: argument beats environment beats default."""
-    if name is None:
-        name = os.environ.get(MEM_KERNEL_ENV) or DEFAULT_KERNEL
-    if name not in ALL_KERNELS:
+    """The kernel a run uses: always ``"reference"``.
+
+    Any other non-None *name* raises :class:`ConfigurationError`.
+    """
+    if name is not None and name != KERNEL_REFERENCE:
         raise ConfigurationError(
-            f"unknown memory kernel {name!r}; expected one of {', '.join(ALL_KERNELS)}"
+            f"unknown memory kernel {name!r}; the only kernel is {KERNEL_REFERENCE!r}"
         )
-    return name
-
-
-def cache_class(kernel: Optional[str] = None):
-    """The cache class implementing ``kernel`` (resolved per precedence)."""
-    # Imported lazily: cache/soa import this module for the env constant.
-    resolved = resolve_kernel(kernel)
-    if resolved == KERNEL_SOA:
-        from repro.mem.soa import SoACache
-
-        return SoACache
-    if resolved == KERNEL_VEC:
-        from repro.mem.vec import VecCache
-
-        return VecCache
-    from repro.mem.cache import SetAssociativeCache
-
-    return SetAssociativeCache
+    return KERNEL_REFERENCE

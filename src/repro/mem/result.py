@@ -100,7 +100,7 @@ class AccessResult:
 
         Floats are ``repr``-encoded so two results compare equal only when
         every accumulated cycle count is identical to the last bit — the
-        comparison the cross-kernel equivalence suite is built on.
+        comparison the golden cache-kernel digests are built on.
         """
         return (
             self.lines,

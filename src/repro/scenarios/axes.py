@@ -6,7 +6,7 @@ the axis is what validates the raw TOML/JSON value and turns it into the
 flat scalar parameters a :class:`~repro.exp.plan.PointSpec` carries:
 
 * choice axes (``arch``, ``link``, ``queue_family``, ``app``, ``nic``,
-  ``mechanism``, ``mem_kernel``) validate against the live registries —
+  ``mechanism``) validate against the live registries —
   the arch presets, link presets, queue factory, proxy apps — so a typo in
   a config file fails at expansion time with the registry's legal values,
   not three minutes into a sweep;
@@ -170,14 +170,6 @@ def _expand_mechanism(value) -> Dict[str, object]:
     raise _bad("mechanism", value, f"one of {', '.join(mechanisms)}")
 
 
-def _expand_mem_kernel(value) -> Dict[str, object]:
-    from repro.mem.kernel import ALL_KERNELS, resolve_kernel
-
-    if value in ALL_KERNELS:
-        return {"mem_kernel": resolve_kernel(value)}
-    raise _bad("mem_kernel", value, f"one of {', '.join(ALL_KERNELS)}")
-
-
 def _expand_prefetcher(value) -> Dict[str, object]:
     from repro.mem.prefetch import PREFETCHER_MODES
 
@@ -291,8 +283,6 @@ _CHOICE_AXES: Tuple[Axis, ...] = (
          "software-only | psm2-like | bxi-like", _expand_nic),
     Axis("mechanism", "co-located occupancy mechanism (kind = 'colocated')",
          "none | hot-caching | cat-partition", _expand_mechanism),
-    Axis("mem_kernel", "cache-kernel backend (default: env/soa)",
-         "soa | vec | reference", _expand_mem_kernel),
     Axis("prefetcher", "prefetch-unit configuration (default: arch units)",
          "default | none | chase | chase-only", _expand_prefetcher),
 )

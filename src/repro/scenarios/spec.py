@@ -269,13 +269,10 @@ class ScenarioSpec:
 
         Deterministic: grids in declaration order; within a grid the first
         matrix axis is outermost. Every point gets the scenario's root seed
-        (the paper-figure convention) and a resolved ``mem_kernel`` so
-        store content keys are per-backend.
+        (the paper-figure convention).
         """
         from repro.exp import ExperimentPlan, producer_kinds
-        from repro.mem.kernel import resolve_kernel
 
-        default_kernel = resolve_kernel(None)
         base_params: Dict[str, object] = {}
         base_labels: Dict[str, str] = {}
         base_raw: Dict[str, object] = {}
@@ -333,7 +330,6 @@ class ScenarioSpec:
                 resolve_auto_link(params)
                 if "link" in labels and "link" in params:
                     labels["link"] = str(params["link"])
-                params.setdefault("mem_kernel", default_kernel)
                 series = self._format(grid.series, labels, "series")
                 plan.add_point(
                     kind, series, self._grid_x(grid, gi, raw, index), seed=self.seed, **params

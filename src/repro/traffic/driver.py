@@ -7,7 +7,7 @@ Two run modes share one substrate:
     deliver, time the match) that every ``bench/osu.py``-style driver used
     to hand-roll. ``osu_bandwidth``/``osu_latency`` now opt into this;
     ``tests/test_traffic_equivalence.py`` pins it repr-identical to the
-    retained legacy loop across kernels × scan modes.
+    retained legacy loop in both scan modes.
 
 ``run_open``
     The open-loop mode: a lazy Poisson/Zipf schedule from
@@ -83,7 +83,6 @@ class TrafficConfig:
     queue_family: str = "baseline"
     heated: bool = False
     heater_config: Optional[HeaterConfig] = None
-    mem_kernel: Optional[str] = None
     fragmented: bool = False
     seed: int = 0
     #: Offered load, mean arrivals per simulated microsecond.
@@ -184,7 +183,6 @@ class _TrafficSession:
         self.registry = RngRegistry(cfg.seed)
         self.hier = cfg.arch.build_hierarchy(
             rng=self.registry.stream("traffic:hierarchy"),
-            kernel=cfg.mem_kernel,
         )
         self.engine = MatchEngine(self.hier)
         prq = make_queue(
@@ -273,7 +271,7 @@ class TrafficDriver:
         ``REPRO_TRAFFIC_BATCH`` beats default-on): the columnar batch loop
         or the retained per-event legacy loop. Both produce bit-identical
         :class:`TrafficResult`\\ s — ``tests/test_traffic_batch_equivalence.py``
-        pins that across kernels, scan modes, admission policies, and
+        pins that across scan modes, admission policies, and
         heated/flushed regimes.
         """
         if resolve_traffic_batch(self.session.cfg.traffic_batch):

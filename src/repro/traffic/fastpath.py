@@ -36,13 +36,13 @@ promotions of the same line sequence leave the same relative recency order
 its mid-queue promotion is not idempotent), and an all-hit scan fills and
 evicts nothing. Skipping the scan therefore leaves every *decision-bearing*
 state exactly where the legacy loop leaves it. What does drift are
-host-invisible tallies nothing reads back into results: the SoA kernel's
-absolute LRU tick, per-cache ``CacheStats`` hit counts, and
-``demand_accesses`` lag by the replayed visits (relative recency order —
-the input to every eviction decision — is identical), and only the searched
-queue's own ``QueueStats`` is advanced, not any nested sub-structure's.
-``TrafficResult``, ``mem_stats``, and every engine counter are replayed
-exactly; the lockstep equivalence suite pins that.
+host-invisible tallies nothing reads back into results: per-cache
+``CacheStats`` hit counts and ``demand_accesses`` lag by the replayed
+visits (relative recency order — the input to every eviction decision — is
+identical), and only the searched queue's own ``QueueStats`` is advanced,
+not any nested sub-structure's. ``TrafficResult``, ``mem_stats``, and every
+engine counter are replayed exactly; the lockstep equivalence suite pins
+that.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ slabs and replays verified pure-reject streaks arithmetically. Both are
 bit-identical on every observable (``TrafficResult`` including
 ``mem_stats``) — ``tests/test_traffic_batch_equivalence.py`` pins that —
 so the mode only selects host-side speed, exactly like
-``REPRO_MEM_KERNEL`` and ``REPRO_SCAN_BATCH`` before it.
+``REPRO_SCAN_BATCH`` before it.
 """
 
 from __future__ import annotations

@@ -17,16 +17,11 @@ import pytest
 from repro.arch import SANDY_BRIDGE
 from repro.bench.osu import OsuConfig, _OsuSession
 from repro.matching.port import SCAN_BATCH_ENV
-from repro.mem.kernel import ALL_KERNELS
 from repro.net.link import QLOGIC_QDR
 
-#: Every pinned trace must reproduce under every kernel backend: the SoA
-#: slab kernel and the reference dict kernel are required to be
-#: bit-identical, so they share one set of pinned values.
-KERNELS = sorted(ALL_KERNELS)
-
-#: ... and under both queue-scan spellings: batched scan runs must charge
-#: exactly what the per-slot loads charged (same pinned values again).
+#: Every pinned trace must reproduce under both queue-scan spellings:
+#: batched scan runs must charge exactly what the per-slot loads charged,
+#: so they share one set of pinned values.
 SCAN_MODES = ("on", "off")
 
 #: Traces captured at the seed commit: (queue_family, heated, msg_bytes)
@@ -66,7 +61,7 @@ PINNED = {
 }
 
 
-def run_trace(pin, kernel=None):
+def run_trace(pin):
     cfg = OsuConfig(
         arch=SANDY_BRIDGE,
         link=QLOGIC_QDR,
@@ -76,7 +71,6 @@ def run_trace(pin, kernel=None):
         search_depth=512,
         iterations=3,
         seed=0,
-        mem_kernel=kernel,
     )
     session = _OsuSession(cfg)
     session.prepopulate()
@@ -84,8 +78,8 @@ def run_trace(pin, kernel=None):
     return session, cycles
 
 
-def assert_trace_matches(pin, kernel=None):
-    session, cycles = run_trace(pin, kernel)
+def assert_trace_matches(pin):
+    session, cycles = run_trace(pin)
     assert [repr(c) for c in cycles] == pin["cycles"]
     assert repr(session.engine.clock.now) == pin["clock"]
     assert repr(session.engine.load_cycles) == pin["load_cycles"]
@@ -98,17 +92,15 @@ def assert_trace_matches(pin, kernel=None):
 
 
 @pytest.mark.parametrize("scan_batch", SCAN_MODES)
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_fig4_spatial_snb_lla8_trace_pinned(kernel, scan_batch, monkeypatch):
+def test_fig4_spatial_snb_lla8_trace_pinned(scan_batch, monkeypatch):
     monkeypatch.setenv(SCAN_BATCH_ENV, scan_batch)
-    assert_trace_matches(PINNED["fig4_spatial_snb_lla8"], kernel)
+    assert_trace_matches(PINNED["fig4_spatial_snb_lla8"])
 
 
 @pytest.mark.parametrize("scan_batch", SCAN_MODES)
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_fig6_temporal_snb_hc_trace_pinned(kernel, scan_batch, monkeypatch):
+def test_fig6_temporal_snb_hc_trace_pinned(scan_batch, monkeypatch):
     monkeypatch.setenv(SCAN_BATCH_ENV, scan_batch)
-    assert_trace_matches(PINNED["fig6_temporal_snb_hc"], kernel)
+    assert_trace_matches(PINNED["fig6_temporal_snb_hc"])
 
 
 def test_level_stats_consistent_with_hierarchy_counters():

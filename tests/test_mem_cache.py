@@ -12,22 +12,17 @@ from repro.mem.cache import (
     SetAssociativeCache,
     WayPartition,
 )
-from repro.mem.soa import SoACache
-
-#: Both kernel backends; behavioural tests below run against each.
-BACKENDS = (SetAssociativeCache, SoACache)
-BACKEND_IDS = ("reference", "soa")
 
 
 def small_cache(assoc=4, nsets=4, **kw):
     return SetAssociativeCache("t", nsets * assoc * 64, assoc, 10.0, **kw)
 
 
-def backend_cache(cache_cls, assoc=4, nsets=4, *, policy=EvictionPolicy.LRU, **kw):
-    """A small cache of either backend; RANDOM gets a seeded rng implicitly."""
+def policy_cache(assoc=4, nsets=4, *, policy=EvictionPolicy.LRU, **kw):
+    """A small cache under *policy*; RANDOM gets a seeded rng implicitly."""
     if policy == EvictionPolicy.RANDOM and "rng" not in kw:
         kw["rng"] = np.random.default_rng(42)
-    return cache_cls("t", nsets * assoc * 64, assoc, 10.0, policy=policy, **kw)
+    return small_cache(assoc, nsets, policy=policy, **kw)
 
 
 class TestConstruction:
@@ -286,23 +281,22 @@ ALL_POLICIES = (EvictionPolicy.LRU, EvictionPolicy.PLRU, EvictionPolicy.RANDOM)
 class TestPartitionFallbackAllNetwork:
     """The way-partition eviction *fallback*: a default-class fill into a set
     whose every way holds network-class data beyond the reserved share must
-    fall back to the plain policy victim (no non-network candidate exists),
-    identically on both kernel backends under every eviction policy.
+    fall back to the plain policy victim (no non-network candidate exists)
+    under every eviction policy.
     """
 
-    def _overfilled(self, cache_cls, policy):
-        c = backend_cache(
-            cache_cls, assoc=4, nsets=1, policy=policy,
+    def _overfilled(self, policy):
+        c = policy_cache(
+            assoc=4, nsets=1, policy=policy,
             partition=WayPartition(network_ways=2),
         )
         for line in range(4):
             c.fill(line, CLS_NETWORK)  # network over-occupies the whole set
         return c
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
     @pytest.mark.parametrize("policy", (EvictionPolicy.LRU, EvictionPolicy.PLRU))
-    def test_fallback_evicts_recency_head(self, cache_cls, policy):
-        c = self._overfilled(cache_cls, policy)
+    def test_fallback_evicts_recency_head(self, policy):
+        c = self._overfilled(policy)
         c.fill(10, CLS_DEFAULT)
         assert c.contains(10)
         assert not c.contains(0)  # head of recency order, not an arbitrary line
@@ -310,41 +304,29 @@ class TestPartitionFallbackAllNetwork:
         assert c.occupancy(CLS_NETWORK) == 3
         assert c.stats.evictions == 1
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_fallback_always_admits_the_fill(self, cache_cls, policy):
-        c = self._overfilled(cache_cls, policy)
+    def test_fallback_always_admits_the_fill(self, policy):
+        c = self._overfilled(policy)
         c.fill(10, CLS_DEFAULT)
         assert c.contains(10)
         assert c.occupancy() == 4
         assert c.occupancy(CLS_NETWORK) == 3
         assert c.occupancy(CLS_DEFAULT) == 1
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_fallback_victim_identical_across_backends(self, policy):
-        def survivors(cache_cls):
-            c = self._overfilled(cache_cls, policy)
-            c.fill(10, CLS_DEFAULT)
-            return sorted(line for line in range(11) if c.contains(line))
-
-        assert survivors(SetAssociativeCache) == survivors(SoACache)
-
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
-    def test_fallback_random_is_seed_deterministic(self, cache_cls):
+    def test_fallback_random_is_seed_deterministic(self):
         def survivors():
-            c = self._overfilled(cache_cls, EvictionPolicy.RANDOM)
+            c = self._overfilled(EvictionPolicy.RANDOM)
             c.fill(10, CLS_DEFAULT)
             return sorted(line for line in range(11) if c.contains(line))
 
         assert survivors() == survivors()
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_within_share_network_stays_protected(self, cache_cls, policy):
+    def test_within_share_network_stays_protected(self, policy):
         # Contrast case: while the network share is *not* exceeded, the scan
-        # must keep skipping network lines no matter the policy/backend.
-        c = backend_cache(
-            cache_cls, assoc=4, nsets=1, policy=policy,
+        # must keep skipping network lines no matter the policy.
+        c = policy_cache(
+            assoc=4, nsets=1, policy=policy,
             partition=WayPartition(network_ways=2),
         )
         c.fill(0, CLS_NETWORK)
@@ -354,14 +336,13 @@ class TestPartitionFallbackAllNetwork:
         assert c.contains(0) and c.contains(1)
         assert c.occupancy(CLS_NETWORK) == 2
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_one_excess_network_line_is_fair_game(self, cache_cls, policy):
+    def test_one_excess_network_line_is_fair_game(self, policy):
         # Exactly one network line beyond the share: the protected scan no
         # longer applies, so the policy victim may be (and under LRU/PLRU,
         # is) a network line even though default lines are present.
-        c = backend_cache(
-            cache_cls, assoc=4, nsets=1, policy=policy,
+        c = policy_cache(
+            assoc=4, nsets=1, policy=policy,
             partition=WayPartition(network_ways=2),
         )
         for line in range(3):
@@ -376,11 +357,10 @@ class TestPartitionFallbackAllNetwork:
 
 class TestOccupancyDirtyTracking:
     """Satellite: occupancy scans only dirty (non-empty) sets, and the dirty
-    index is pruned when invalidation empties a set — on both backends."""
+    index is pruned when invalidation empties a set."""
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
-    def test_invalidate_prunes_emptied_set(self, cache_cls):
-        c = backend_cache(cache_cls, assoc=2, nsets=4)
+    def test_invalidate_prunes_emptied_set(self):
+        c = policy_cache(assoc=2, nsets=4)
         c.fill(0)  # set 0
         c.fill(1)  # set 1
         c.fill(5)  # set 1 again
@@ -391,9 +371,8 @@ class TestOccupancyDirtyTracking:
         assert c._dirty == {1}  # set 1 still holds line 5
         assert c.occupancy() == 1
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
-    def test_occupancy_correct_after_pruning(self, cache_cls):
-        c = backend_cache(cache_cls, assoc=2, nsets=4)
+    def test_occupancy_correct_after_pruning(self):
+        c = policy_cache(assoc=2, nsets=4)
         for line in range(8):
             c.fill(line, CLS_NETWORK if line % 2 else CLS_DEFAULT)
         for line in range(4):
@@ -402,9 +381,8 @@ class TestOccupancyDirtyTracking:
         assert c.occupancy(CLS_NETWORK) == 2
         assert c.occupancy(CLS_DEFAULT) == 2
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
-    def test_flush_clears_dirty_index(self, cache_cls):
-        c = backend_cache(cache_cls, assoc=2, nsets=4)
+    def test_flush_clears_dirty_index(self):
+        c = policy_cache(assoc=2, nsets=4)
         for line in range(8):
             c.fill(line)
         assert c._dirty
@@ -412,11 +390,10 @@ class TestOccupancyDirtyTracking:
         assert c._dirty == set()
         assert c.occupancy() == 0
 
-    @pytest.mark.parametrize("cache_cls", BACKENDS, ids=BACKEND_IDS)
-    def test_eviction_keeps_replaced_set_dirty(self, cache_cls):
+    def test_eviction_keeps_replaced_set_dirty(self):
         # A fill that evicts replaces rather than empties: the set must stay
         # dirty and occupancy must still count it.
-        c = backend_cache(cache_cls, assoc=1, nsets=2)
+        c = policy_cache(assoc=1, nsets=2)
         c.fill(0)
         c.fill(2)  # same set, evicts 0
         assert c._dirty == {0}

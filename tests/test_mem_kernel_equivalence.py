@@ -1,46 +1,39 @@
-"""Cross-backend kernel equivalence: soa x vec x reference, bit-identical.
+"""Golden digests for the cache kernel.
 
-The structure-of-arrays kernel (:mod:`repro.mem.soa`), the numpy-vectorized
-kernel (:mod:`repro.mem.vec`) and the reference dict kernel
-(:mod:`repro.mem.cache`) are three implementations of the *same* simulated
-machine. This suite drives one hierarchy per backend through an identical
-seeded stream of mixed operations (demand line runs, network-class
-accesses, write-allocate stores, heater touches, full flushes) in lockstep
-and demands bit-identical outcomes at every step:
+One seeded stream of mixed operations (demand line runs, network-class
+accesses, write-allocate stores, heater touches, flushes) drives a
+:class:`~repro.mem.hierarchy.MemoryHierarchy`, and everything it exposes is
+hashed into one digest:
 
-* every :meth:`~repro.mem.result.AccessResult.signature` (``repr``-encoded
-  floats: cycle totals must match to the last bit, not approximately);
+* every per-step :meth:`~repro.mem.result.AccessResult.signature`
+  (``repr``-encoded floats, so cycle totals must match to the last bit);
 * every per-level counter (hits/misses/evictions/prefetch fills+hits);
-* occupancy, per-class occupancy, and full recency order of every set of
-  every cache — so eviction *choices*, not just eviction *counts*, agree;
-* the shared RNG consumption contract (all backends draw the same
-  variates in the same order, or RANDOM-policy runs diverge immediately).
+* occupancy, per-class occupancy, and the full recency order of every set
+  of every cache, so eviction *choices*, not just eviction *counts*, are
+  pinned — checked every 50 ops and at the end.
 
 Scenarios cover the full policy matrix (LRU / tree-PLRU / RANDOM) crossed
-with way-partitioning and the dedicated network cache, on deliberately
-tiny geometries so sets overflow and eviction paths actually run. The vec
-kernel's span thresholds are pinned to 1 for the drive, so its vectorized
-probe/stamp/argmin primitives — not just its scalar fallbacks — face the
-lockstep comparison on every op.
+with way-partitioning and the dedicated network cache, on deliberately tiny
+geometries so sets overflow and eviction paths actually run. RANDOM-policy
+drives also pin the RNG consumption order: one extra or missing draw changes
+every later victim.
+
+The digests in :data:`GOLDEN` were captured while the simulator still had
+three interchangeable cache kernels, and all three produced exactly these
+values; any change to a digest is a change to the simulated machine.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-import repro.mem.hierarchy as hierarchy_mod
-from repro.mem.cache import (
-    CLS_DEFAULT,
-    CLS_NETWORK,
-    EvictionPolicy,
-    SetAssociativeCache,
-    WayPartition,
-)
+from repro.errors import ConfigurationError
+from repro.mem.cache import CLS_DEFAULT, CLS_NETWORK, EvictionPolicy, WayPartition
 from repro.mem.hierarchy import MemoryHierarchy, NetworkCacheConfig
-from repro.mem.kernel import KERNEL_REFERENCE, KERNEL_SOA, KERNEL_VEC
-from repro.mem.soa import SoACache
-from repro.mem.vec import VecCache
+from repro.mem.kernel import resolve_kernel
 
 POLICIES = (EvictionPolicy.LRU, EvictionPolicy.PLRU, EvictionPolicy.RANDOM)
 
@@ -62,48 +55,39 @@ GEOMETRY = dict(
 
 N_OPS = 400
 
-#: Captured at import, before the threshold-pinning fixture runs.
-_PRODUCTION_MIN_SPAN = hierarchy_mod._VEC_MIN_SPAN
-_PRODUCTION_MIN_RUN = hierarchy_mod._VEC_MIN_RUN
+GOLDEN = {
+    "ops-nonetc-nopart-lru": "90e8958a0224f814",
+    "ops-nonetc-nopart-plru": "467dfb10ecd535ab",
+    "ops-nonetc-nopart-random": "7972a58da3202f39",
+    "ops-nonetc-part-lru": "9b7fc87ed5be962f",
+    "ops-nonetc-part-plru": "b04347b817a102fe",
+    "ops-nonetc-part-random": "67a2cdb318069336",
+    "ops-netc-nopart-lru": "8fe3c00637c24a1d",
+    "ops-netc-nopart-plru": "5e2311b006193a24",
+    "ops-netc-nopart-random": "1d66257e27a9aed5",
+    "ops-netc-part-lru": "dc2dd9951828aba6",
+    "ops-netc-part-plru": "4edb2098d21ccdaa",
+    "ops-netc-part-random": "f9b630352479b320",
+    "flush-lru": "cb2d837948ee8605",
+    "flush-plru": "b38788a8ae6b20b3",
+    "flush-random": "b3881873bc2377bb",
+    # No eviction runs here, so LRU and RANDOM leave the same state.
+    "run-contiguous-lru": "185b325da1fc0ab9",
+    "run-contiguous-random": "185b325da1fc0ab9",
+    "run-gapped-lru": "837f26fecde9416c",
+    "run-gapped-random": "837f26fecde9416c",
+}
 
 
-@pytest.fixture(autouse=True)
-def _vectorize_everything(monkeypatch):
-    """Probe every span through the vec kernel's array primitives.
-
-    The production thresholds route short transactions to the scalar SoA
-    paths (numpy fixed costs dominate there); the tiny lockstep geometry
-    would never reach them. Equivalence must hold at any threshold, so the
-    suite pins both to 1.
-    """
-    monkeypatch.setattr(hierarchy_mod, "_VEC_MIN_SPAN", 1)
-    monkeypatch.setattr(hierarchy_mod, "_VEC_MIN_RUN", 1)
-
-
-def build_trio(policy, with_partition, with_netcache, seed=1234):
-    """Three hierarchies, identical config, one per kernel backend.
-
-    Each gets its *own* RNG constructed from the same seed: the equivalence
-    contract includes drawing identical variate streams, so sharing one
-    generator would hide consumption-order bugs.
-    """
-    def make(kernel):
-        return MemoryHierarchy(
-            policy=policy,
-            partition=WayPartition(network_ways=2) if with_partition else None,
-            network_cache=NetworkCacheConfig(size_bytes=2048) if with_netcache else None,
-            rng=np.random.default_rng(seed),
-            kernel=kernel,
-            **GEOMETRY,
-        )
-
-    ref = make(KERNEL_REFERENCE)
-    soa = make(KERNEL_SOA)
-    vec = make(KERNEL_VEC)
-    assert isinstance(ref.l3, SetAssociativeCache)
-    assert isinstance(soa.l3, SoACache) and not isinstance(soa.l3, VecCache)
-    assert isinstance(vec.l3, VecCache)
-    return ref, (("soa", soa), ("vec", vec))
+def build(policy, with_partition, with_netcache, seed=1234):
+    """One hierarchy on the tiny geometry, with its own seeded RNG."""
+    return MemoryHierarchy(
+        policy=policy,
+        partition=WayPartition(network_ways=2) if with_partition else None,
+        network_cache=NetworkCacheConfig(size_bytes=2048) if with_netcache else None,
+        rng=np.random.default_rng(seed),
+        **GEOMETRY,
+    )
 
 
 def caches_of(hier):
@@ -117,216 +101,159 @@ def caches_of(hier):
     return out
 
 
-def assert_states_equal(ref, other, label, context):
-    """Full structural equality: stats, occupancy, and recency per set."""
-    for (name, rc), (_, sc) in zip(caches_of(ref), caches_of(other)):
-        for field in ("hits", "misses", "prefetch_fills", "prefetch_hits",
-                      "evictions", "flushes"):
-            rv, sv = getattr(rc.stats, field), getattr(sc.stats, field)
-            assert rv == sv, f"{context}: {name}.{field}: ref={rv} {label}={sv}"
-        assert rc.occupancy() == sc.occupancy(), f"{context}: {name} occupancy"
-        for cls in (CLS_DEFAULT, CLS_NETWORK):
-            assert rc.occupancy(cls) == sc.occupancy(cls), (
-                f"{context}: {name} occupancy(cls={cls})"
-            )
-        for idx in range(rc.nsets):
-            r_order, s_order = rc.recency(idx), sc.recency(idx)
-            assert r_order == s_order, (
-                f"{context}: {name} set {idx} recency: "
-                f"ref={r_order} {label}={s_order}"
-            )
-        # The slab fast paths elide flag tests when _nflagged == 0, so the
-        # counter must track the true flagged-slot population exactly.
-        true_flagged = sum(1 for slot in sc._index.values() if sc._flag[slot])
-        assert sc._nflagged == true_flagged, (
-            f"{context}: {name} _nflagged={sc._nflagged} != {true_flagged}"
-        )
+def state_of(hier):
+    """Full observable state: counters, occupancy and recency per set."""
+    out = [repr(sorted(hier.stats().items()))]
+    for name, cache in caches_of(hier):
+        out.append(name)
+        out.append(repr([
+            getattr(cache.stats, field)
+            for field in ("hits", "misses", "prefetch_fills", "prefetch_hits",
+                          "evictions", "flushes")
+        ]))
+        out.append(repr([
+            cache.occupancy(),
+            cache.occupancy(CLS_DEFAULT),
+            cache.occupancy(CLS_NETWORK),
+        ]))
+        out.append(repr([cache.recency(idx) for idx in range(cache.nsets)]))
+    return "\n".join(out)
 
 
-def assert_all_equal(ref, others, context):
-    for label, other in others:
-        assert_states_equal(ref, other, label, context)
+class Digest:
+    """Accumulates step signatures and state snapshots into one hash."""
+
+    def __init__(self) -> None:
+        self._h = hashlib.sha256()
+
+    def add(self, text) -> None:
+        self._h.update(str(text).encode())
+        self._h.update(b"\0")
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()[:16]
 
 
-def drive(ref, others, *, seed=99, n_ops=N_OPS):
-    """One seeded op stream applied to all hierarchies in lockstep.
+def drive(hier, digest, *, seed=99, n_ops=N_OPS):
+    """Apply one seeded op stream to *hier*, recording into *digest*.
 
     The mix is weighted toward demand line runs (the hot path) but includes
     every mutating entry point; addresses reuse a small footprint so lines
     collide, re-fill, and get evicted rather than streaming cold forever.
     """
     rng = np.random.default_rng(seed)
-    has_netcache = ref.cores[0].netcache is not None
+    has_netcache = hier.cores[0].netcache is not None
     for op_i in range(n_ops):
         op = rng.integers(10)
-        core = int(rng.integers(ref.n_cores))
+        core = int(rng.integers(hier.n_cores))
         addr = int(rng.integers(0, 1 << 18)) & ~0x3F
         nbytes = int(rng.integers(1, 8)) * 64
-        context = f"op {op_i} (kind {op}, core {core}, addr {addr:#x})"
+        first, last = addr >> 6, (addr + nbytes - 1) >> 6
         if op < 5:  # demand run, default class
-            first, last = addr >> 6, (addr + nbytes - 1) >> 6
-            r = ref.access_lines(core, first, last).signature()
-            for label, h in others:
-                s = h.access_lines(core, first, last).signature()
-                assert r == s, f"{context} [{label}]"
+            digest.add(hier.access_lines(core, first, last).signature())
         elif op < 7:  # demand run, network class (netcache path when present)
-            first, last = addr >> 6, (addr + nbytes - 1) >> 6
-            r = ref.access_lines(core, first, last, CLS_NETWORK).signature()
-            for label, h in others:
-                s = h.access_lines(core, first, last, CLS_NETWORK).signature()
-                assert r == s, f"{context} [{label}]"
+            digest.add(hier.access_lines(core, first, last, CLS_NETWORK).signature())
         elif op == 7:  # write-allocate store
             cls = CLS_NETWORK if has_netcache else CLS_DEFAULT
-            r = ref.write_tx(core, addr, nbytes, cls).signature()
-            for label, h in others:
-                s = h.write_tx(core, addr, nbytes, cls).signature()
-                assert r == s, f"{context} [{label}]"
+            digest.add(hier.write_tx(core, addr, nbytes, cls).signature())
         elif op == 8:  # heater touch (refresh/install split)
-            r = ref.touch_shared_tx(core, addr, nbytes).signature()
-            for label, h in others:
-                s = h.touch_shared_tx(core, addr, nbytes).signature()
-                assert r == s, f"{context} [{label}]"
+            digest.add(hier.touch_shared_tx(core, addr, nbytes).signature())
         else:  # occasional flush (protection-respecting variant included)
             respect = bool(rng.integers(2))
-            ref.flush(respect_protection=respect)
-            for _, h in others:
-                h.flush(respect_protection=respect)
+            hier.flush(respect_protection=respect)
+            digest.add(f"flush {respect}")
         if op_i % 50 == 0:
-            assert_all_equal(ref, others, context)
-    assert_all_equal(ref, others, "final")
-    for label, h in others:
-        assert ref.stats() == h.stats(), label
+            digest.add(state_of(hier))
+    digest.add(state_of(hier))
+
+
+def run_ops(policy, with_partition, with_netcache):
+    hier = build(policy, with_partition, with_netcache)
+    digest = Digest()
+    drive(hier, digest)
+    return digest.hexdigest()
+
+
+def run_full_flush(policy):
+    hier = build(policy, True, True)
+    digest = Digest()
+    drive(hier, digest, n_ops=100)
+    hier.flush(respect_protection=False)
+    digest.add(state_of(hier))
+    drive(hier, digest, seed=7, n_ops=100)
+    return digest.hexdigest()
+
+
+def _lines_of(spec):
+    """A (lines, vis, total) triple from a compact (line, visits) spec."""
+    lines = [ln for ln, _ in spec]
+    vis = [v for _, v in spec]
+    return lines, vis, sum(vis)
+
+
+def run_access_run(policy, gapped):
+    """Warm a run's lines, apply it, then try a run with one cold line."""
+    hier = build(policy, False, False)
+    digest = Digest()
+    step = 2 if gapped else 1
+    resident = [(8 + i * step, 1 + (i % 3)) for i in range(24)]
+    lines, vis, total = _lines_of(resident)
+    for ln in lines:
+        digest.add(hier.access_lines(0, ln, ln).signature())
+    accepted = hier.access_run(0, lines, vis, total)
+    assert accepted
+    digest.add(state_of(hier))
+    # A run touching a non-resident line is rejected, mutating nothing.
+    cold = lines + [lines[-1] + 64]
+    before = state_of(hier)
+    assert not hier.access_run(0, cold, vis + [2], total + 2)
+    assert state_of(hier) == before
+    digest.add(before)
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("with_partition", (False, True), ids=["nopart", "part"])
 @pytest.mark.parametrize("with_netcache", (False, True), ids=["nonetc", "netc"])
 def test_kernels_bit_identical(policy, with_partition, with_netcache):
-    ref, others = build_trio(policy, with_partition, with_netcache)
-    drive(ref, others)
+    key = (
+        f"ops-{'netc' if with_netcache else 'nonetc'}-"
+        f"{'part' if with_partition else 'nopart'}-{policy}"
+    )
+    assert run_ops(policy, with_partition, with_netcache) == GOLDEN[key]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_kernels_identical_after_full_flush(policy):
-    """An unprotected flush must leave all backends equivalent mid-stream."""
-    ref, others = build_trio(policy, True, True)
-    drive(ref, others, n_ops=100)
-    ref.flush(respect_protection=False)
-    for _, h in others:
-        h.flush(respect_protection=False)
-    assert_all_equal(ref, others, "post-flush")
-    drive(ref, others, seed=7, n_ops=100)
-
-
-# -- the scan-run entry point (access_run) --------------------------------
-
-
-def _lines_of(spec):
-    """A (lines, vis) pair from a compact (line, visits) spec."""
-    lines = [ln for ln, _ in spec]
-    vis = [v for _, v in spec]
-    return lines, vis, sum(vis)
+    """An unprotected flush mid-stream, then a second op stream."""
+    assert run_full_flush(policy) == GOLDEN[f"flush-{policy}"]
 
 
 @pytest.mark.parametrize("policy", (EvictionPolicy.LRU, EvictionPolicy.RANDOM))
-@pytest.mark.parametrize(
-    "gapped", (False, True), ids=["contiguous", "gapped"]
-)
-def test_access_run_lockstep(policy, gapped):
-    """access_run: same accept/reject decision and identical state after.
-
-    Covers both vec membership paths (the count-only contiguous probe and
-    the searchsorted gapped probe), plus the all-or-nothing contract: a
-    rejected run must leave every backend's state untouched and a
-    subsequent scalar replay must still agree.
-    """
-    ref, others = build_trio(policy, False, False)
-    all_h = [("reference", ref)] + list(others)
-    step = 2 if gapped else 1
-    resident = [(8 + i * step, 1 + (i % 3)) for i in range(24)]
-    lines, vis, total = _lines_of(resident)
-    # Warm every line, then run over them: all backends must accept.
-    for _, h in all_h:
-        for ln in lines:
-            h.access_lines(0, ln, ln)
-    accepted = {label: h.access_run(0, lines, vis, total) for label, h in all_h}
-    assert all(accepted.values()), accepted
-    assert_all_equal(ref, others, f"run accepted ({policy}, gapped={gapped})")
-    # A run touching a non-resident line must be rejected by everyone,
-    # mutating nothing.
-    cold = lines + [lines[-1] + 64]
-    cold_vis = vis + [2]
-    rejected = {
-        label: h.access_run(0, cold, cold_vis, total + 2) for label, h in all_h
-    }
-    assert not any(rejected.values()), rejected
-    assert_all_equal(ref, others, "run rejected")
-    for label, h in all_h:
-        assert ref.stats() == h.stats(), label
+@pytest.mark.parametrize("gapped", (False, True), ids=["contiguous", "gapped"])
+def test_access_run_golden(policy, gapped):
+    """access_run accepts a warm run, rejects a cold one without mutating."""
+    key = f"run-{'gapped' if gapped else 'contiguous'}-{policy}"
+    assert run_access_run(policy, gapped) == GOLDEN[key]
 
 
 def test_access_run_rejects_flagged_lines():
     """A pending prefetch flag anywhere in the run forces the scalar replay."""
-    ref, others = build_trio(EvictionPolicy.LRU, False, False)
-    all_h = [("reference", ref)] + list(others)
+    hier = build(EvictionPolicy.LRU, False, False)
     lines = list(range(32, 56))
     vis = [1] * len(lines)
-    for _, h in all_h:
-        for ln in lines:
-            h.access_lines(0, ln, ln)
-        # Plant a prefetched fill inside the run's span (a refill of a
-        # resident line keeps its clean state, so drop it first).
-        h.cores[0].l1.invalidate(lines[7])
-        h.cores[0].l1.fill(lines[7], CLS_DEFAULT, prefetched=True, penalty=3.0)
-    rejected = {
-        label: h.access_run(0, lines, vis, len(lines)) for label, h in all_h
-    }
-    assert not any(rejected.values()), rejected
-    assert_all_equal(ref, others, "flagged run rejected")
+    for ln in lines:
+        hier.access_lines(0, ln, ln)
+    # Plant a prefetched fill inside the run's span (a refill of a resident
+    # line keeps its clean state, so drop it first).
+    hier.cores[0].l1.invalidate(lines[7])
+    hier.cores[0].l1.fill(lines[7], CLS_DEFAULT, prefetched=True, penalty=3.0)
+    before = state_of(hier)
+    assert not hier.access_run(0, lines, vis, len(lines))
+    assert state_of(hier) == before
 
 
-def test_wide_warm_spans_hit_the_vector_path(monkeypatch):
-    """Production thresholds, default L1: a warm 256-line span qualifies
-    for the vec fast path and still matches the other backends bit-for-bit."""
-    monkeypatch.setattr(hierarchy_mod, "_VEC_MIN_SPAN", _PRODUCTION_MIN_SPAN)
-    monkeypatch.setattr(hierarchy_mod, "_VEC_MIN_RUN", _PRODUCTION_MIN_RUN)
-    assert 256 >= _PRODUCTION_MIN_SPAN
-    wide = dict(GEOMETRY, l1_size=32 * 1024, l1_assoc=8)
-
-    def make(kernel):
-        return MemoryHierarchy(policy=EvictionPolicy.LRU, kernel=kernel, **wide)
-
-    trio = [(k, make(k)) for k in (KERNEL_REFERENCE, KERNEL_SOA, KERNEL_VEC)]
-    first, last = 0, 255  # 16 KiB span, fits the 512-line L1
-    for _ in range(4):
-        sigs = {
-            label: h.access_lines(0, first, last).signature()
-            for label, h in trio
-        }
-        assert len(set(sigs.values())) == 1, sigs
-    ref = trio[0][1]
-    assert_all_equal(ref, [trio[1], trio[2]], "wide warm spans")
-    for label, h in trio[1:]:
-        assert ref.stats() == h.stats(), label
-
-
-def test_default_kernel_is_soa(monkeypatch):
-    from repro.mem.kernel import MEM_KERNEL_ENV
-
-    monkeypatch.delenv(MEM_KERNEL_ENV, raising=False)
-    h = MemoryHierarchy(**GEOMETRY)
-    assert h.kernel == KERNEL_SOA
-    assert isinstance(h.l3, SoACache)
-
-
-@pytest.mark.parametrize(
-    "kernel, cls_",
-    ((KERNEL_REFERENCE, SetAssociativeCache), (KERNEL_VEC, VecCache)),
-)
-def test_env_selects_kernel(monkeypatch, kernel, cls_):
-    from repro.mem.kernel import MEM_KERNEL_ENV
-
-    monkeypatch.setenv(MEM_KERNEL_ENV, kernel)
-    h = MemoryHierarchy(**GEOMETRY)
-    assert h.kernel == kernel
-    assert isinstance(h.l3, cls_)
+def test_resolve_kernel_names_the_one_kernel():
+    assert resolve_kernel(None) == resolve_kernel("reference") == "reference"
+    with pytest.raises(ConfigurationError, match="unknown memory kernel 'soa'"):
+        resolve_kernel("soa")

@@ -7,7 +7,7 @@ retained per-slot spelling: same ``clock.now`` to the last float bit, same
 ``LevelStats``, same per-cache recency state, same RNG consumption. This
 suite drives twin engine+queue stacks — one per scan mode — through an
 identical seeded post/match workload across every queue family ×
-{heated, unheated} × {soa, vec, reference} kernels and compares everything.
+{heated, unheated} and compares everything.
 
 Also covered here: the ``REPRO_SCAN_BATCH`` resolution chain, NullPort's
 O(1) run counters, the default per-slot fallback loop, LLA hole accounting
@@ -42,10 +42,7 @@ from repro.matching.port import (
 )
 from repro.mem.cache import CLS_DEFAULT, CLS_NETWORK, EvictionPolicy
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.mem.kernel import ALL_KERNELS
 from repro.sim.clock import Clock
-
-KERNELS = sorted(ALL_KERNELS)
 
 FAMILIES = {
     "lla-2": lambda port: LinkedListOfArrays(2, port=port),
@@ -87,11 +84,10 @@ def _mk_item(rng, seq, wild=False):
     )
 
 
-def build_stack(kernel, family, scan_batch, heated, *, policy=EvictionPolicy.LRU):
+def build_stack(family, scan_batch, heated, *, policy=EvictionPolicy.LRU):
     hier = MemoryHierarchy(
         policy=policy,
         rng=np.random.default_rng(1234),
-        kernel=kernel,
         **GEOMETRY,
     )
     clock = Clock()
@@ -148,12 +144,11 @@ def signature(hier, clock, engine, queue, heater):
     return sig
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("heated", (False, True), ids=["cold", "heated"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_scan_modes_bit_identical(kernel, heated, family):
-    slot_stack = build_stack(kernel, family, False, heated)
-    run_stack = build_stack(kernel, family, True, heated)
+def test_scan_modes_bit_identical(heated, family):
+    slot_stack = build_stack(family, False, heated)
+    run_stack = build_stack(family, True, heated)
     drive(slot_stack[3])
     drive(run_stack[3])
     assert run_stack[2].scan_batch and not slot_stack[2].scan_batch
@@ -165,15 +160,14 @@ def test_scan_modes_bit_identical(kernel, heated, family):
     assert slot_stack[2].runs == 0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_scan_modes_bit_identical_random_policy(kernel):
+def test_scan_modes_bit_identical_random_policy():
     """RANDOM eviction consumes RNG on every miss fill: identical draws in
     identical order under both spellings, or recency/rng signatures split."""
     slot_stack = build_stack(
-        kernel, "lla-8", False, False, policy=EvictionPolicy.RANDOM
+        "lla-8", False, False, policy=EvictionPolicy.RANDOM
     )
     run_stack = build_stack(
-        kernel, "lla-8", True, False, policy=EvictionPolicy.RANDOM
+        "lla-8", True, False, policy=EvictionPolicy.RANDOM
     )
     drive(slot_stack[3], posts=400, ops=300)
     drive(run_stack[3], posts=400, ops=300)
@@ -183,12 +177,11 @@ def test_scan_modes_bit_identical_random_policy(kernel):
     assert sig_slot == sig_run
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_scan_modes_bit_identical_saturated_heater(kernel):
+def test_scan_modes_bit_identical_saturated_heater():
     """A saturated heater charges interference per probe and can force the
     per-probe replay mid-run; both spellings must still agree exactly."""
-    slot_stack = build_stack(kernel, "lla-8", False, False)
-    run_stack = build_stack(kernel, "lla-8", True, False)
+    slot_stack = build_stack("lla-8", False, False)
+    run_stack = build_stack("lla-8", True, False)
     for _, _, engine, queue, _ in (slot_stack, run_stack):
         heater = Heater(
             queue.port.hierarchy,

@@ -17,7 +17,6 @@ from repro.arch import BROADWELL, NEHALEM, SANDY_BRIDGE
 from repro.bench.osu import MSG_SIZE_SWEEP, SEARCH_LENGTH_SWEEP
 from repro.errors import ConfigurationError, ScenarioError
 from repro.exp import ExperimentPlan, encode_arch
-from repro.mem.kernel import resolve_kernel
 from repro.net.link import MELLANOX_QDR, OMNIPATH, QLOGIC_QDR
 from repro.scenarios import (
     ScenarioSpec,
@@ -53,7 +52,6 @@ def legacy_variant_grid_plan(
     arch, variants, *, title, xlabel, x_axis, msg_bytes, depth, xs, iterations, seed
 ):
     link = OMNIPATH if arch.name == "broadwell" else QLOGIC_QDR
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(title=title, xlabel=xlabel, ylabel="bandwidth (MiBps)")
     arch_enc = encode_arch(arch)
     for label, family, heated in variants:
@@ -70,7 +68,6 @@ def legacy_variant_grid_plan(
                 msg_bytes=int(x) if x_axis == "msg_bytes" else msg_bytes,
                 search_depth=int(x) if x_axis == "depth" else depth,
                 iterations=iterations,
-                mem_kernel=kernel,
             )
     return plan
 
@@ -137,7 +134,6 @@ def legacy_temporal_search_length(arch, *, msg_bytes=1, depths=None, iterations=
 
 def legacy_fig8_plan(*, arch=BROADWELL, scales=(128, 256, 512, 1024),
                      families=("baseline", "lla-2"), seed=0):
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(
         title="AMG2013 scaling (Broadwell)",
         xlabel="Process Count",
@@ -158,14 +154,12 @@ def legacy_fig8_plan(*, arch=BROADWELL, scales=(128, 256, 512, 1024),
                 nranks=int(nranks),
                 queue_family=family,
                 fragmented=family == "baseline",
-                mem_kernel=kernel,
             )
     return plan
 
 
 def legacy_fig9_plan(*, arch=BROADWELL, lengths=(128, 512, 2048),
                      families=("baseline", "lla-2"), nranks=512, seed=0):
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(
         title=f"MiniFE at {nranks} processes (Broadwell)",
         xlabel="Match list Length",
@@ -186,7 +180,6 @@ def legacy_fig9_plan(*, arch=BROADWELL, lengths=(128, 512, 2048),
                 link=OMNIPATH.name,
                 nranks=int(nranks),
                 queue_family=family,
-                mem_kernel=kernel,
             )
     return plan
 
@@ -216,7 +209,6 @@ def _legacy_fig10_params(arch_name, family, heated, nranks):
 
 
 def legacy_fig10_plan(*, scales=FIG10_SCALES, variants=FIG10_VARIANTS, seed=0):
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(
         title="Fire Dynamics Simulator scaling",
         xlabel="Process Count",
@@ -230,7 +222,6 @@ def legacy_fig10_plan(*, scales=FIG10_SCALES, variants=FIG10_VARIANTS, seed=0):
                 f"baseline/{arch_name}",
                 float(nranks),
                 seed=seed,
-                mem_kernel=kernel,
                 **_legacy_fig10_params(arch_name, "baseline", False, nranks),
             )
     for label, arch_name, family, heated in variants:
@@ -240,7 +231,6 @@ def legacy_fig10_plan(*, scales=FIG10_SCALES, variants=FIG10_VARIANTS, seed=0):
                 label,
                 float(nranks),
                 seed=seed,
-                mem_kernel=kernel,
                 **_legacy_fig10_params(arch_name, family, heated, nranks),
             )
     return plan
@@ -250,7 +240,6 @@ def legacy_colocated_plan(arch, *, rank_counts=(1, 2, 4, 8),
                           mechanisms=("none", "hot-caching", "cat-partition"),
                           depth=2048, working_set_bytes=4 * 1024 * 1024,
                           iterations=2, seed=0):
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(
         title=f"Co-located capacity pressure ({arch.name})",
         xlabel="co-located ranks",
@@ -270,13 +259,11 @@ def legacy_colocated_plan(arch, *, rank_counts=(1, 2, 4, 8),
                 depth=depth,
                 working_set_bytes=working_set_bytes,
                 iterations=iterations,
-                mem_kernel=kernel,
             )
     return plan
 
 
 def legacy_heater_micro_plan(archs, *, region_bytes=4 * 1024 * 1024, samples=2048, seed=0):
-    kernel = resolve_kernel(None)
     plan = ExperimentPlan(
         title="Section 4.3 cache-heater random-access micro-benchmark",
         xlabel="arch",
@@ -291,7 +278,6 @@ def legacy_heater_micro_plan(archs, *, region_bytes=4 * 1024 * 1024, samples=204
             arch=encode_arch(arch),
             region_bytes=region_bytes,
             samples=samples,
-            mem_kernel=kernel,
         )
     return plan
 
@@ -324,7 +310,6 @@ def legacy_ablation_plan(*, quick=False, seed=0):
                 msg_bytes=1,
                 search_depth=64 if quick else 512,
                 iterations=3 if quick else 10,
-                mem_kernel=resolve_kernel(None),
                 **extra,
             )
     return plan
@@ -347,7 +332,6 @@ def legacy_offload_plan(*, quick=False, seed=0):
                 arch="sandy-bridge",
                 nic=nic_label,
                 depth=int(depth),
-                mem_kernel=resolve_kernel(None),
             )
     return plan
 
@@ -526,6 +510,11 @@ class TestSchemaValidation:
     def test_unknown_axis_lists_registered_ones(self):
         with pytest.raises(ScenarioError, match="unknown scenario axis 'msg_size'"):
             _spec(matrix={"msg_size": [1]})
+
+    def test_mem_kernel_is_not_an_axis(self):
+        # The simulator has one cache kernel, so a spec cannot choose one.
+        with pytest.raises(ConfigurationError, match="unknown scenario axis 'mem_kernel'"):
+            _spec(base={**_MINIMAL["base"], "mem_kernel": "soa"}).expand()
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown key"):

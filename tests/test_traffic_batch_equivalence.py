@@ -4,8 +4,8 @@
 legacy loop and the columnar fast path (EventBlock slabs + verified
 reject-streak replay). The refactor is only safe if the two are
 *repr-identical* — same phase statistics, same sojourn reservoirs, same
-per-level memory attribution — across queue families, memory kernels, scan
-modes, admission policies, and heated/flushed regimes. This suite pins
+per-level memory attribution — across queue families, scan modes,
+admission policies, and heated/flushed regimes. This suite pins
 that, plus the columnar schedule's block/view consistency and the
 satellite fixes to the driver's ``waiting`` bookkeeping.
 """
@@ -19,7 +19,6 @@ from repro.errors import MatchingError
 from repro.traffic import TrafficConfig, TrafficDriver, run_traffic
 from repro.traffic.workload import open_loop_blocks, open_loop_events
 
-KERNELS = ("soa", "vec", "reference")
 SCAN_MODES = ("on", "off")
 
 #: The regimes the open-loop driver distinguishes. The saturated drop-tail
@@ -81,10 +80,8 @@ class TestLockstepEquivalence:
         kw = REGIMES[regime]
         assert run_repr(True, **kw) == run_repr(False, **kw)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("scan", SCAN_MODES)
-    def test_kernel_scan_matrix_identical(self, monkeypatch, kernel, scan):
-        monkeypatch.setenv("REPRO_MEM_KERNEL", kernel)
+    def test_scan_modes_identical(self, monkeypatch, scan):
         monkeypatch.setenv("REPRO_SCAN_BATCH", scan)
         kw = REGIMES["saturated-drop-tail"]
         assert run_repr(True, **kw) == run_repr(False, **kw)

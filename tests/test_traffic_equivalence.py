@@ -5,7 +5,7 @@
 bespoke loop verbatim. The refactor is only safe if the two are
 *repr-identical* — same match-cycle samples, same bandwidth math, same
 per-level memory attribution — across queue families, heater variants,
-memory kernels, and scan modes. This suite pins that, point-by-point and
+and scan modes. This suite pins that, point-by-point and
 through the Runner-driven fig4/fig6 panels the paper reproduction rests on.
 """
 
@@ -17,7 +17,6 @@ from repro.bench.osu import OsuConfig, osu_bandwidth, osu_bandwidth_legacy
 from repro.exp import Runner
 from repro.net import QLOGIC_QDR
 
-KERNELS = ("soa", "vec", "reference")
 SCAN_MODES = ("on", "off")
 
 VARIANTS = [
@@ -47,10 +46,8 @@ class TestPointEquivalence:
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: (
         ("HC+" if v["heated"] else "") + v["queue_family"]
     ))
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("scan", SCAN_MODES)
-    def test_bandwidth_point_identical(self, monkeypatch, variant, kernel, scan):
-        monkeypatch.setenv("REPRO_MEM_KERNEL", kernel)
+    def test_bandwidth_point_identical(self, monkeypatch, variant, scan):
         monkeypatch.setenv("REPRO_SCAN_BATCH", scan)
         new = osu_bandwidth(cfg(**variant))
         old = osu_bandwidth_legacy(cfg(**variant))
@@ -69,10 +66,7 @@ class TestPanelEquivalence:
     def run_panel(self, plan):
         return repr(Runner().run_sweep(plan))
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_fig4_panel_identical(self, monkeypatch, kernel):
-        monkeypatch.setenv("REPRO_MEM_KERNEL", kernel)
-
+    def test_fig4_panel_identical(self, monkeypatch):
         def plan():
             return plan_spatial_search_length(
                 SANDY_BRIDGE, msg_bytes=16, depths=(1, 32, 256), iterations=3, seed=0
