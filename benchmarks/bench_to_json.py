@@ -93,29 +93,13 @@ def write_scan(out: Path) -> None:
 
 def write_traffic(out: Path) -> None:
     scenarios = bench_traffic.collect_traffic()
-    reference = {
-        r["mode"]: r
-        for r in scenarios
-        if r["scenario"] == bench_traffic.REFERENCE_SCENARIO
-    }
     doc = {
         "benchmark": "open-loop-traffic-driver",
         "config": {
             "arrival_rate": bench_traffic.overload_config().arrival_rate,
             "events": bench_traffic.N_WARMUP + bench_traffic.N_MEASURED,
-            "modes": [mode for mode, _flag in bench_traffic.MODES],
         },
-        "gate": {
-            "min_events_per_sec": bench_traffic.MIN_EVENTS_PER_SEC,
-            "ladder": {
-                "scenario": bench_traffic.REFERENCE_SCENARIO,
-                "fast": "batch",
-                "baseline": "legacy",
-                "min_speedup": bench_traffic.MIN_TRAFFIC_SPEEDUP,
-                "target_speedup": bench_traffic.TARGET_TRAFFIC_SPEEDUP,
-                "measured_speedup": reference["batch"]["speedup"],
-            },
-        },
+        "gate": {"min_events_per_sec": bench_traffic.MIN_EVENTS_PER_SEC},
         "timing": {"rounds": bench_traffic.ROUNDS, "statistic": "best-of"},
         "environment": _environment(),
         "scenarios": scenarios,
@@ -123,8 +107,8 @@ def write_traffic(out: Path) -> None:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for row in scenarios:
         print(
-            "{scenario:>19} [{mode:>6}]: {events_per_sec:8.1f} events/s  "
-            "{speedup:5.2f}x  rej {rejection_pct:5.1f}%  "
+            "{scenario:>19}: {events_per_sec:8.1f} events/s  "
+            "rej {rejection_pct:5.1f}%  "
             "p99 {p99_sojourn_us:8.2f}us".format(**row)
         )
     print(f"wrote {out}")

@@ -637,23 +637,12 @@ def _cmd_list(args: argparse.Namespace) -> None:
             title="Prefetcher modes (values of the 'prefetcher' axis)",
         )
     )
-    print()
-    from repro.traffic.mode import TRAFFIC_BATCH_ENV, TRAFFIC_MODES
-
-    print(
-        render_table(
-            ["traffic mode", "event loop"],
-            list(TRAFFIC_MODES),
-            title=f"Open-loop traffic modes (--traffic-batch / ${TRAFFIC_BATCH_ENV})",
-        )
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser (shared flags live on parents)."""
     from repro._version import __version__
     from repro.matching.port import SCAN_BATCH_ENV
-    from repro.traffic.mode import TRAFFIC_BATCH_ENV
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -675,10 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="queue-scan spelling (default: "
                         f"${SCAN_BATCH_ENV} or 'on'); both are bit-identical, "
                         "'on' charges one engine call per contiguous run")
-    common.add_argument("--traffic-batch", choices=["on", "off"], default=None,
-                        help="open-loop traffic event loop (default: "
-                        f"${TRAFFIC_BATCH_ENV} or 'on'); both are "
-                        "bit-identical, 'on' runs the columnar fast path")
 
     # Runner/store/failure-policy flags shared by the sweep commands.
     sweep = argparse.ArgumentParser(add_help=False)
@@ -810,14 +795,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.matching.port import SCAN_BATCH_ENV
 
         os.environ[SCAN_BATCH_ENV] = args.scan_batch
-    if getattr(args, "traffic_batch", None):
-        # Same mechanism: the traffic driver resolves its event loop
-        # through resolve_traffic_batch(), which consults this variable.
-        import os
-
-        from repro.traffic.mode import TRAFFIC_BATCH_ENV
-
-        os.environ[TRAFFIC_BATCH_ENV] = args.traffic_batch
     from repro.errors import ConfigurationError
 
     try:

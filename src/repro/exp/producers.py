@@ -245,9 +245,6 @@ def _traffic_producer(params: Dict[str, object], seed: int) -> PointResult:
         recv_window=int(params.get("recv_window", 64)),
         search_depth=int(params.get("search_depth", 0)),
         flush_every=int(params.get("flush_every", 0)),
-        traffic_batch=(
-            bool(params["traffic_batch"]) if "traffic_batch" in params else None
-        ),
     )
     result = run_traffic(cfg)
     measured = result.measured

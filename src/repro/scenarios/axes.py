@@ -353,11 +353,6 @@ _TRAFFIC_AXES: Tuple[Axis, ...] = (
         "full-queue policy: reject newcomers or evict the FIFO head",
         ("drop-tail", "drop-head"),
     ),
-    _bool_axis(
-        "traffic_batch",
-        "open-loop event loop: columnar fast path (true, the default) or "
-        "the retained per-event legacy loop; bit-identical results",
-    ),
 )
 
 for _axis in (

@@ -1,11 +1,9 @@
 """Open-loop traffic: Zipf/Poisson workloads, admission control, tail latency.
 
 The common way experiments generate work (ROADMAP item 1, the "millions of
-users" axis). :mod:`repro.traffic.workload` produces lazy seeded event
-schedules — per-event or as columnar :class:`EventBlock` slabs —
-:mod:`repro.traffic.driver` advances the simulated clock from them over the
-full matching/memory/heater stack (with a batch fast path selectable via
-``REPRO_TRAFFIC_BATCH``, see :mod:`repro.traffic.mode`), and
+users" axis). :mod:`repro.traffic.workload` produces lazy seeded per-event
+schedules, :mod:`repro.traffic.driver` advances the simulated clock from
+them one arrival at a time over the full matching/memory/heater stack, and
 :mod:`repro.traffic.stats` reduces each warmup/measured phase to queue
 depths, rejection percentages, and sojourn-time percentiles.
 """
@@ -16,37 +14,25 @@ from repro.traffic.driver import (
     TrafficResult,
     run_traffic,
 )
-from repro.traffic.mode import (
-    TRAFFIC_BATCH_ENV,
-    TRAFFIC_MODES,
-    resolve_traffic_batch,
-    traffic_mode_label,
-)
+from repro.traffic.mode import traffic_mode_label
 from repro.traffic.stats import TRAFFIC_METRICS, TrafficStats
 from repro.traffic.workload import (
-    EventBlock,
     PoissonArrivals,
     TrafficEvent,
     ZipfTagPopularity,
-    open_loop_blocks,
     open_loop_events,
 )
 
 __all__ = [
-    "EventBlock",
     "PoissonArrivals",
-    "TRAFFIC_BATCH_ENV",
     "TRAFFIC_METRICS",
-    "TRAFFIC_MODES",
     "TrafficConfig",
     "TrafficDriver",
     "TrafficEvent",
     "TrafficResult",
     "TrafficStats",
     "ZipfTagPopularity",
-    "open_loop_blocks",
     "open_loop_events",
-    "resolve_traffic_batch",
     "run_traffic",
     "traffic_mode_label",
 ]

@@ -21,7 +21,10 @@ Two run modes share one substrate:
     rejecting. Heater catch-up interleaves through the existing lazy
     :meth:`~repro.hotcache.heater.Heater.quiescent_until` projection (the
     engine syncs it before every memory access), so heated open-loop runs
-    need no new heater machinery.
+    need no new heater machinery. The loop handles one arrival at a time,
+    and every arrival — rejected ones included — runs the full matching
+    and memory path, so the hierarchy's own counters (``hier.stats()``)
+    account for every access the run made.
 
 Model notes (MODELING.md "Open-loop traffic and admission"):
 
@@ -43,10 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro.analysis.stats import QuantileReservoir
 from repro.arch.spec import ArchSpec
@@ -62,14 +62,8 @@ from repro.mem.result import LevelStats
 from repro.mpi.message import Message
 from repro.mpi.process import MpiProcess
 from repro.sim.rng import RngRegistry
-from repro.traffic.fastpath import reject_replayer_for
-from repro.traffic.mode import resolve_traffic_batch
 from repro.traffic.stats import PhaseAccumulator, TrafficStats
-from repro.traffic.workload import (
-    ZipfTagPopularity,
-    open_loop_blocks,
-    open_loop_events,
-)
+from repro.traffic.workload import ZipfTagPopularity, open_loop_events
 
 #: Source rank for the never-matching decoy receives (search-depth knob).
 _DECOY_SRC = 7
@@ -108,12 +102,6 @@ class TrafficConfig:
     reject_cycles: float = 0.0
     #: Sojourn reservoir size per phase (memory/precision trade-off).
     reservoir: int = 4096
-    #: Which event-loop spelling drives the run: True = the columnar batch
-    #: fast path, False = the retained per-event legacy loop, None = defer
-    #: to ``REPRO_TRAFFIC_BATCH`` (default on). Both are bit-identical on
-    #: every ``TrafficResult`` observable; this knob only selects host-side
-    #: speed (see :mod:`repro.traffic.mode`).
-    traffic_batch: Optional[bool] = None
 
     def validate(self) -> None:
         """Raise ConfigurationError for out-of-range knobs."""
@@ -265,21 +253,7 @@ class TrafficDriver:
         return cls(_TrafficSession(cfg))
 
     def run_open(self) -> TrafficResult:
-        """Drive the open-loop schedule to completion; see the module doc.
-
-        Dispatches on the resolved traffic mode (config field beats
-        ``REPRO_TRAFFIC_BATCH`` beats default-on): the columnar batch loop
-        or the retained per-event legacy loop. Both produce bit-identical
-        :class:`TrafficResult`\\ s — ``tests/test_traffic_batch_equivalence.py``
-        pins that across scan modes, admission policies, and
-        heated/flushed regimes.
-        """
-        if resolve_traffic_batch(self.session.cfg.traffic_batch):
-            return self._run_open_batch()
-        return self._run_open_legacy()
-
-    def _run_open_legacy(self) -> TrafficResult:
-        """The original per-event loop, retained as the pinned reference."""
+        """Drive the open-loop schedule to completion; see the module doc."""
         session = self.session
         cfg: TrafficConfig = session.cfg
         session.prepopulate()
@@ -400,268 +374,6 @@ class TrafficDriver:
         # Messages still unexpected at the end of the schedule are counted,
         # per the phase they arrived in, but get no sojourn (never drained).
         for entries in waiting.values():
-            for _t0, measured_flag in entries:
-                (meas if measured_flag else warm).leftover += 1
-        meas.finish(clock.now)
-        if not in_measured:  # pragma: no cover - n_measured >= 1 forbids this
-            warm.finish(clock.now)
-
-        return TrafficResult(
-            config_label=cfg.variant_label(),
-            arrival_rate=cfg.arrival_rate,
-            warmup=warm.stats(),
-            measured=meas.stats(),
-            heater_passes=session.heater.passes if session.heater is not None else 0,
-            mem_stats=self.engine.level_stats.copy(),
-        )
-
-    def _run_open_batch(self) -> TrafficResult:
-        """The columnar fast path: same simulation, block-shaped host loop.
-
-        Bit-identical to :meth:`_run_open_legacy` by construction:
-
-        * the schedule arrives as :func:`~repro.traffic.workload.open_loop_blocks`
-          slabs — the same draws from the same streams, just not wrapped in
-          per-event ``TrafficEvent`` objects;
-        * recv tags come from a :meth:`ZipfTagPopularity.sampler` cursor
-          (same chunked draws as the legacy ``next(iter(...))``);
-        * ``waiting`` is a preallocated per-tag FIFO table and the UMQ depth
-          is mirrored in O(1) instead of ``len(queue)`` per event;
-        * phase counters accumulate in locals and flush into the
-          :class:`PhaseAccumulator` at block/phase boundaries;
-        * under saturated drop-tail admission, streaks of pure-reject
-          arrivals are captured, verified, and replayed arithmetically by
-          :class:`~repro.traffic.fastpath.RejectReplayer` — every other
-          event runs through the exact per-event path the legacy loop runs.
-
-        The process' sequence cursor is mirrored (``seq_n``) so replayed
-        events consume the same number of sequence values the legacy loop
-        would have; it is lazily re-bound before the next real process call.
-        """
-        session = self.session
-        cfg: TrafficConfig = session.cfg
-        session.prepopulate()
-        engine = self.engine
-        clock = engine.clock
-        arch = cfg.arch
-        delivery_cycles = arch.sw_overhead_cycles + arch.copy_cycles_per_byte * cfg.msg_bytes
-
-        res_rng = session.registry.stream("traffic:reservoir")
-        warm = PhaseAccumulator(
-            "warmup", arch.ghz, QuantileReservoir(cfg.reservoir, rng=res_rng)
-        )
-        meas = PhaseAccumulator(
-            "measured", arch.ghz, QuantileReservoir(cfg.reservoir, rng=res_rng)
-        )
-        warm.begin(clock.now)
-
-        n_tags = cfg.n_tags
-        # Preallocated per-tag FIFO table (tag space is known up front): no
-        # setdefault churn, no dict hashing on the hot path.
-        waiting = [deque() for _ in range(n_tags)]
-        umq_len = 0
-
-        def on_evict(item) -> None:
-            nonlocal umq_len
-            entries = waiting[item.tag] if 0 <= item.tag < n_tags else None
-            if not entries:
-                raise MatchingError(
-                    f"admission evicted an unexpected message with tag {item.tag} "
-                    "the driver has no waiting record for; driver and UMQ "
-                    "bookkeeping desynced"
-                )
-            t0, measured_flag = entries.popleft()
-            umq_len -= 1
-            (meas if measured_flag else warm).evicted += 1
-
-        admission = session.umq_admission
-        if admission is not None:
-            session.umq.on_evict = on_evict
-
-        tag_sampler = ZipfTagPopularity(
-            cfg.n_tags, cfg.zipf_alpha, session.registry.stream("traffic:recv-tags")
-        ).sampler()
-        blocks = open_loop_blocks(
-            rate_per_us=cfg.arrival_rate,
-            ghz=arch.ghz,
-            zipf_alpha=cfg.zipf_alpha,
-            n_tags=cfg.n_tags,
-            nranks=cfg.nranks,
-            msg_bytes=cfg.msg_bytes,
-            n_warmup=cfg.n_warmup,
-            n_measured=cfg.n_measured,
-            seed=cfg.seed,
-        )
-
-        replayer = reject_replayer_for(session)
-        track = replayer is not None
-        # Outstanding posted receives per traffic tag: counts[t] == 0 means
-        # an arrival with tag t cannot fast-match (the replay eligibility
-        # test, vectorized over streaks). Only maintained when a replayer
-        # exists; decoy receives live outside the traffic tag space.
-        counts = np.zeros(n_tags, dtype=np.int64) if track else None
-        cap = cfg.queue_capacity if cfg.queue_capacity is not None else 0
-        # Mirror of the process' sequence cursor: prepopulate consumed one
-        # value per decoy post; every post_recv/handle_arrival consumes one
-        # more, real or replayed. Re-bound lazily after replays.
-        seq_n = cfg.search_depth
-        seq_dirty = False
-
-        # Per-event phase counters, folded into locals and flushed at
-        # block/phase boundaries.
-        ev_n = post_n = fast_n = unexp_n = rej_n = 0
-        d_sum = d_obs = d_max = 0
-
-        def flush_locals(acc: PhaseAccumulator) -> None:
-            nonlocal ev_n, post_n, fast_n, unexp_n, rej_n, d_sum, d_obs, d_max
-            acc.events += ev_n
-            acc.posted_recvs += post_n
-            acc.fast_matches += fast_n
-            acc.unexpected += unexp_n
-            acc.rejected += rej_n
-            acc.depth_sum += d_sum
-            acc.depth_obs += d_obs
-            if d_max > acc.depth_max:
-                acc.depth_max = d_max
-            ev_n = post_n = fast_n = unexp_n = rej_n = 0
-            d_sum = d_obs = d_max = 0
-
-        proc = session.proc
-        handle_arrival = proc.handle_arrival
-        post_recv = proc.post_recv
-        charge = engine.charge
-        advance_to = clock.advance_to
-        heater = session.heater
-        recv_window = cfg.recv_window
-        msg_bytes = cfg.msg_bytes
-        flush_every = cfg.flush_every
-        outstanding = 0
-        in_measured = False
-        current = warm
-
-        for block in blocks:
-            ts = block.t_arrive
-            ranks = block.rank
-            tags = block.tag
-            index0 = block.index0
-            warm_count = block.warm_count
-            m = len(ts)
-            k = 0
-            while k < m:
-                if not in_measured and k >= warm_count:
-                    # Warmup -> measured boundary: queue state carries over
-                    # (a loaded system stays loaded), accounting starts
-                    # fresh. May land mid-block (the torn case).
-                    flush_locals(warm)
-                    in_measured = True
-                    warm.finish(clock.now)
-                    meas.begin(clock.now)
-                    current = meas
-                    engine.level_stats.reset()
-                idx = index0 + k
-                t_arr = ts[k]
-
-                # Service: post receives only while the engine is idle
-                # ahead of this arrival and the window has room.
-                while outstanding < recv_window and clock.now < t_arr:
-                    tag = tag_sampler.next()
-                    if seq_dirty:
-                        proc._seq = count(seq_n)
-                        seq_dirty = False
-                    req = post_recv(src=ANY_SOURCE, tag=tag, cid=0, nbytes=msg_bytes)
-                    seq_n += 1
-                    post_n += 1
-                    if req.matched_unexpected:
-                        entries = waiting[tag]
-                        t0, measured_flag = entries.popleft()
-                        umq_len -= 1
-                        charge(delivery_cycles)
-                        target = meas if measured_flag else warm
-                        target.drained += 1
-                        target.record_sojourn(clock.now - t0)
-                    else:
-                        outstanding += 1
-                        if track:
-                            counts[tag] += 1
-                    if track:
-                        # Posting touched PRQ/UMQ lines: captured reject
-                        # costs may no longer hold.
-                        replayer.invalidate()
-
-                if clock.now < t_arr:
-                    advance_to(float(t_arr))
-
-                if flush_every and idx and idx % flush_every == 0:
-                    # A bulk-synchronous compute phase ran: caches are cold
-                    # again unless the heater has been defending them.
-                    session.hier.flush()
-                    if heater is not None:
-                        session.prq.prepare_phase()
-                    if track:
-                        replayer.invalidate()
-
-                etag = tags[k]
-                if track and umq_len >= cap and counts[etag] == 0:
-                    # Pure-reject arrival under saturated drop-tail: hand
-                    # the streak to the replayer. The limit keeps a streak
-                    # inside this block, this phase, and this flush window.
-                    limit = m if in_measured else warm_count
-                    if flush_every:
-                        limit = min(limit, k + flush_every - idx % flush_every)
-                    was_armed = replayer.armed
-                    if seq_dirty and not was_armed:
-                        proc._seq = count(seq_n)
-                        seq_dirty = False
-                    r = replayer.consume(ts, ranks, tags, k, limit, counts, msg_bytes)
-                    seq_n += r
-                    if was_armed:
-                        seq_dirty = True
-                    ev_n += r
-                    rej_n += r
-                    d_sum += umq_len * r
-                    d_obs += r
-                    if umq_len > d_max:
-                        d_max = umq_len
-                    k += r
-                    continue
-
-                if seq_dirty:
-                    proc._seq = count(seq_n)
-                    seq_dirty = False
-                etag = int(etag)
-                rejected_before = admission.rejected if admission is not None else 0
-                req = handle_arrival(
-                    Message(Envelope(src=int(ranks[k]), tag=etag, cid=0), msg_bytes)
-                )
-                seq_n += 1
-                ev_n += 1
-                if req is not None:
-                    outstanding -= 1
-                    charge(delivery_cycles)
-                    fast_n += 1
-                    target = meas if in_measured else warm
-                    target.record_sojourn(clock.now - float(t_arr))
-                    if track:
-                        counts[req.tag] -= 1
-                        replayer.invalidate()
-                elif admission is not None and admission.rejected > rejected_before:
-                    rej_n += 1
-                else:
-                    unexp_n += 1
-                    umq_len += 1
-                    waiting[etag].append((float(t_arr), in_measured))
-                    if track:
-                        replayer.invalidate()
-                d_sum += umq_len
-                d_obs += 1
-                if umq_len > d_max:
-                    d_max = umq_len
-                k += 1
-            flush_locals(current)
-
-        # Messages still unexpected at the end of the schedule are counted,
-        # per the phase they arrived in, but get no sojourn (never drained).
-        for entries in waiting:
             for _t0, measured_flag in entries:
                 (meas if measured_flag else warm).leftover += 1
         meas.finish(clock.now)

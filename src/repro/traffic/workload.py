@@ -15,21 +15,12 @@ on demand from fixed-size draw buffers, never materialized as a list, so
 long runs complete in bounded memory. All randomness comes from
 :func:`repro.sim.rng.stream_seed`-derived named streams, so schedules are
 bit-reproducible for a fixed root seed.
-
-The schedule has two spellings over one draw sequence.
-:func:`open_loop_blocks` is the columnar one: chunked
-:class:`EventBlock` structure-of-arrays slabs (``t_arrive``/``rank``/``tag``
-per chunk, arrival times accumulated slab-wise with an explicit carry so
-the float additions happen in exactly the per-event order).
-:func:`open_loop_events` is a thin per-event view over those blocks — the
-historical :class:`TrafficEvent` iterator, bit-identical by construction
-because both spellings read the same slabs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -113,173 +104,6 @@ class ZipfTagPopularity:
             for tag in draws:
                 yield int(tag)
 
-    def sampler(self) -> "_TagSampler":
-        """A slab-buffered cursor over the same draw sequence as ``iter()``.
-
-        Draws uniforms in the same ``chunk``-sized slabs the iterator does
-        (so both consume the RNG identically), but hands tags out via a
-        plain buffer index instead of a generator frame — the open-loop
-        batch driver's posting loop uses this.
-        """
-        return _TagSampler(self)
-
-
-class _TagSampler:
-    """Buffered per-call tag draws, bit-identical to ``iter(popularity)``."""
-
-    __slots__ = ("_pop", "_buf", "_pos")
-
-    def __init__(self, pop: ZipfTagPopularity) -> None:
-        self._pop = pop
-        self._buf = None
-        self._pos = 0
-
-    def next(self) -> int:
-        buf = self._buf
-        if buf is None or self._pos >= len(buf):
-            pop = self._pop
-            buf = self._buf = np.searchsorted(
-                pop._cdf, pop._rng.random(pop._chunk), side="right"
-            )
-            self._pos = 0
-        tag = buf[self._pos]
-        self._pos += 1
-        return int(tag)
-
-
-class _SlabBuffer:
-    """Consume an RNG stream in fixed ``chunk``-sized draws, hand out slices.
-
-    The legacy generators always pull full chunks from their stream and use
-    what they need; reproducing that exact draw pattern (rather than drawing
-    ``size=m`` directly) makes the columnar schedule's RNG consumption
-    provably identical to the per-event iterator's, with no assumption about
-    how the bit generator fills partial requests.
-    """
-
-    __slots__ = ("_draw", "_chunk", "_buf", "_pos")
-
-    def __init__(self, draw: Callable[[int], np.ndarray], chunk: int) -> None:
-        self._draw = draw
-        self._chunk = chunk
-        self._buf = None
-        self._pos = 0
-
-    def take(self, n: int) -> np.ndarray:
-        buf, pos = self._buf, self._pos
-        if buf is not None and pos + n <= len(buf):
-            self._pos = pos + n
-            return buf[pos:pos + n]
-        parts = []
-        need = n
-        while need:
-            if buf is None or pos >= len(buf):
-                buf = self._buf = self._draw(self._chunk)
-                pos = 0
-            take = min(need, len(buf) - pos)
-            parts.append(buf[pos:pos + take])
-            pos += take
-            need -= take
-        self._pos = pos
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class EventBlock:
-    """One chunk of an open-loop schedule, as structure-of-arrays slabs.
-
-    ``t_arrive`` (float64), ``rank`` and ``tag`` (int64) are parallel
-    arrays; event ``i`` of the block has global index ``index0 + i``.
-    ``warm_count`` is how many leading events of *this block* fall in the
-    warmup phase (0 = fully measured, ``len(block)`` = fully warmup), so
-    the warmup/measured boundary is resolved per block — including the
-    torn case where it lands mid-slab.
-    """
-
-    index0: int
-    t_arrive: np.ndarray
-    rank: np.ndarray
-    tag: np.ndarray
-    nbytes: int
-    warm_count: int
-
-    def __len__(self) -> int:
-        return len(self.t_arrive)
-
-    @property
-    def measured(self) -> np.ndarray:
-        """Per-event measured-phase mask (tests, analysis)."""
-        out = np.ones(len(self.t_arrive), dtype=bool)
-        out[: self.warm_count] = False
-        return out
-
-
-def open_loop_blocks(
-    *,
-    rate_per_us: float,
-    ghz: float,
-    zipf_alpha: float,
-    n_tags: int,
-    nranks: int,
-    msg_bytes: int,
-    n_warmup: int,
-    n_measured: int,
-    seed: int,
-    chunk: int = _CHUNK,
-) -> Iterator[EventBlock]:
-    """The open-loop schedule as lazy columnar :class:`EventBlock` slabs.
-
-    Draw-for-draw identical to the historical per-event stream: gaps and
-    tag uniforms are pulled from their streams in the same ``chunk``-sized
-    slabs (via :class:`_SlabBuffer`), ranks in the same
-    ``min(chunk, remaining)`` slabs, and arrival times are a running
-    ``cumsum`` seeded with the previous block's carry — the same float64
-    additions in the same order as the scalar ``t += gap`` loop, so every
-    ``t_arrive`` is bit-identical. Resident state is O(chunk).
-    """
-    if rate_per_us <= 0:
-        raise ConfigurationError(
-            f"arrival rate must be positive (events/us), got {rate_per_us}"
-        )
-    if n_warmup < 0 or n_measured < 1:
-        raise ConfigurationError(
-            f"need n_warmup >= 0 and n_measured >= 1, got {n_warmup}/{n_measured}"
-        )
-    mean_gap = ghz * 1000.0 / rate_per_us
-    if mean_gap <= 0:
-        raise ConfigurationError(
-            f"mean inter-arrival gap must be positive, got {mean_gap}"
-        )
-    registry = RngRegistry(seed)
-    gap_rng = registry.stream("traffic:arrivals")
-    popularity = ZipfTagPopularity(
-        n_tags, zipf_alpha, registry.stream("traffic:tags"), chunk=chunk
-    )
-    rank_rng = registry.stream("traffic:ranks")
-    gap_buf = _SlabBuffer(lambda n: gap_rng.exponential(mean_gap, n), chunk)
-    uni_buf = _SlabBuffer(lambda n: popularity._rng.random(n), chunk)
-    cdf = popularity._cdf
-    total = n_warmup + n_measured
-    t = 0.0
-    index = 0
-    while index < total:
-        m = min(chunk, total - index)
-        ranks = rank_rng.integers(0, nranks, size=m)
-        # Carry-seeded running sum: cumsum is the same sequential left fold
-        # of float64 additions the per-event `t += gap` loop performs.
-        ts = np.cumsum(np.concatenate(((t,), gap_buf.take(m))))[1:]
-        t = float(ts[-1])
-        tags = np.searchsorted(cdf, uni_buf.take(m), side="right")
-        yield EventBlock(
-            index0=index,
-            t_arrive=ts,
-            rank=ranks,
-            tag=tags,
-            nbytes=msg_bytes,
-            warm_count=min(m, max(0, n_warmup - index)),
-        )
-        index += m
-
 
 def open_loop_events(
     *,
@@ -303,33 +127,40 @@ def open_loop_events(
     then the stream ends. Arrival times, tags, and source ranks each come
     from their own :class:`~repro.sim.rng.RngRegistry` named stream, so any
     one of them can be varied (or replayed) independently of the others.
-
-    This is a thin per-event view over :func:`open_loop_blocks`: both
-    spellings read the same slabs, so they are bit-identical by
-    construction.
     """
-    for block in open_loop_blocks(
-        rate_per_us=rate_per_us,
-        ghz=ghz,
-        zipf_alpha=zipf_alpha,
-        n_tags=n_tags,
-        nranks=nranks,
-        msg_bytes=msg_bytes,
-        n_warmup=n_warmup,
-        n_measured=n_measured,
-        seed=seed,
-        chunk=chunk,
-    ):
-        index0 = block.index0
-        ts, ranks, tags = block.t_arrive, block.rank, block.tag
-        warm_count = block.warm_count
-        nbytes = block.nbytes
-        for i in range(len(ts)):
+    if rate_per_us <= 0:
+        raise ConfigurationError(
+            f"arrival rate must be positive (events/us), got {rate_per_us}"
+        )
+    if n_warmup < 0 or n_measured < 1:
+        raise ConfigurationError(
+            f"need n_warmup >= 0 and n_measured >= 1, got {n_warmup}/{n_measured}"
+        )
+    registry = RngRegistry(seed)
+    gaps = iter(
+        PoissonArrivals(
+            ghz * 1000.0 / rate_per_us, registry.stream("traffic:arrivals"), chunk=chunk
+        )
+    )
+    tags = iter(
+        ZipfTagPopularity(
+            n_tags, zipf_alpha, registry.stream("traffic:tags"), chunk=chunk
+        )
+    )
+    rank_rng = registry.stream("traffic:ranks")
+    total = n_warmup + n_measured
+    t = 0.0
+    index = 0
+    while index < total:
+        ranks = rank_rng.integers(0, nranks, size=min(chunk, total - index))
+        for rank in ranks:
+            t += next(gaps)
             yield TrafficEvent(
-                index=index0 + i,
-                t_arrive=float(ts[i]),
-                rank=int(ranks[i]),
-                tag=int(tags[i]),
-                nbytes=nbytes,
-                measured=i >= warm_count,
+                index=index,
+                t_arrive=t,
+                rank=int(rank),
+                tag=next(tags),
+                nbytes=msg_bytes,
+                measured=index >= n_warmup,
             )
+            index += 1

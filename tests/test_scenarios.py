@@ -510,6 +510,9 @@ class TestSchemaValidation:
     def test_unknown_axis_lists_registered_ones(self):
         with pytest.raises(ScenarioError, match="unknown scenario axis 'msg_size'"):
             _spec(matrix={"msg_size": [1]})
+        # The open-loop driver has one event loop, so a spec cannot choose one.
+        with pytest.raises(ScenarioError, match="unknown scenario axis 'traffic_batch'"):
+            _spec(matrix={"traffic_batch": [True]})
 
     def test_mem_kernel_is_not_an_axis(self):
         # The simulator has one cache kernel, so a spec cannot choose one.

@@ -1,22 +1,22 @@
-"""Million-event scale: the columnar fast path in bounded time and memory.
+"""Million-event scale: the open-loop event loop in bounded time and memory.
 
-The open-loop schedule is lazy and the batch driver's resident state is
-O(reservoir + n_tags + recv_window) — nothing scales with the number of
-events. This suite drives a full million-event overload schedule through
-the fast path (seconds, thanks to reject-streak replay), pins the peak
-traced allocation flat as the event count grows 4x, and re-checks
-lockstep equivalence with the legacy loop at a downscaled-but-still-large
-schedule, including a warmup/measured boundary torn mid-EventBlock.
+The open-loop schedule is lazy and the driver's resident state is
+O(reservoir + n_tags + recv_window + UMQ capacity) — nothing scales with
+the number of events. This suite drives a full million-event overload
+schedule through the per-event loop, pins the peak traced allocation flat
+as the event count grows 4x, and pins the full observable state of two
+downscaled-but-still-large schedules to golden digests, one with a
+warmup/measured boundary torn inside a schedule draw chunk.
 """
 
 import tracemalloc
 
 from repro.arch import SANDY_BRIDGE
 from repro.traffic import TrafficConfig, TrafficDriver, run_traffic
+from tests.test_traffic_batch_equivalence import state_digest
 
 #: A deeply saturated drop-tail point: arrivals outpace the engine ~30:1,
-#: so almost every event is a pure reject and the replayer carries the
-#: schedule in long verified streaks.
+#: so almost every event is a pure reject.
 OVERLOAD = dict(
     arch=SANDY_BRIDGE,
     arrival_rate=32.0,
@@ -29,13 +29,27 @@ OVERLOAD = dict(
     seed=7,
 )
 
+#: Full-state digests (see ``state_digest``), captured while a second,
+#: columnar event loop still existed and agreed with this one on
+#: ``repr(result)`` and ``repr(result.mem_stats)``.
+GOLDEN = {
+    "downscaled": "fbcca32be5d8f7fd",
+    "torn-boundary": "8436175237aee011",
+}
 
-def scale_config(traffic_batch, **kw):
-    return TrafficConfig(traffic_batch=traffic_batch, **dict(OVERLOAD, **kw))
+
+def scale_config(**kw):
+    return TrafficConfig(**dict(OVERLOAD, **kw))
+
+
+def run_digest(**kw):
+    driver = TrafficDriver.open_loop(scale_config(**kw))
+    result = driver.run_open()
+    return result, state_digest(driver, result)
 
 
 def test_million_events_complete_exactly():
-    result = run_traffic(scale_config(True, n_warmup=1000, n_measured=999_000))
+    result = run_traffic(scale_config(n_warmup=1000, n_measured=999_000))
     assert result.warmup.events == 1_000
     assert result.measured.events == 999_000
     # Every arrival is classified exactly once; depth was sampled per event.
@@ -53,7 +67,7 @@ def test_peak_memory_flat_in_event_count():
     # before tracing starts — the bound is on *driver* state.
     def peak_for(n_measured):
         driver = TrafficDriver.open_loop(
-            scale_config(True, n_warmup=1000, n_measured=n_measured)
+            scale_config(n_warmup=1000, n_measured=n_measured)
         )
         tracemalloc.start()
         try:
@@ -72,23 +86,17 @@ def test_peak_memory_flat_in_event_count():
 
 
 def test_downscaled_legacy_repr_match():
-    # The legacy loop is too slow for a million events; at 20k the same
-    # overload point must still be repr-identical, mem_stats included.
-    kw = dict(n_warmup=1000, n_measured=19_000)
-    batch = run_traffic(scale_config(True, **kw))
-    legacy = run_traffic(scale_config(False, **kw))
-    assert repr(batch) == repr(legacy)
-    assert repr(batch.mem_stats) == repr(legacy.mem_stats)
+    # 20k events of the same overload point, every observable pinned.
+    result, digest = run_digest(n_warmup=1000, n_measured=19_000)
+    assert result.measured.events == 19_000
+    assert digest == GOLDEN["downscaled"]
 
 
 def test_torn_boundary_mid_block_at_scale():
-    # n_warmup=1500 with the 1024-event chunk puts the warmup/measured
-    # boundary in the middle of the second EventBlock; the batch loop must
-    # flush its local counters and reset level_stats at exactly that event.
-    kw = dict(n_warmup=1500, n_measured=4500)
-    batch = run_traffic(scale_config(True, **kw))
-    legacy = run_traffic(scale_config(False, **kw))
-    assert batch.warmup.events == 1500
-    assert batch.measured.events == 4500
-    assert repr(batch) == repr(legacy)
-    assert repr(batch.mem_stats) == repr(legacy.mem_stats)
+    # n_warmup=1500 with 1024-draw chunks puts the warmup/measured boundary
+    # inside the schedule's second chunk; level_stats must reset at exactly
+    # that event.
+    result, digest = run_digest(n_warmup=1500, n_measured=4500)
+    assert result.warmup.events == 1500
+    assert result.measured.events == 4500
+    assert digest == GOLDEN["torn-boundary"]
