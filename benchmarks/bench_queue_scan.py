@@ -1,4 +1,4 @@
-"""Queue-scan micro-benchmark: batched ``load_run`` vs per-slot ``load``.
+"""Queue-scan micro-benchmark: ``MatchEngine.load_run`` vs per-probe loads.
 
 With the cache model itself fast enough, the cost left on the table was
 the queue→engine boundary, where every inspected slot paid one Python
@@ -10,19 +10,20 @@ machinery whenever the run's lines are L1-resident and the heater is
 quiescent across the run's projected span.
 
 This benchmark drives a depth-8192 failed search (the paper's worst-case
-queue traversal, Figures 4b/6b) through an LLA(k=8) under both scan
-spellings and asserts:
+queue traversal, Figures 4b/6b) through an LLA(k=8) twice: on a
+``MatchEngine`` and on :class:`PerProbeEngine`, whose ``load_run`` is the
+:class:`~repro.matching.port.MemoryPort` default loop (one ``load`` per
+probe, the oracle every ``load_run`` must match). It asserts:
 
 * identical simulated signatures (clock, cycles, counters) — bit-identity
-  is re-checked here *inside* the timed harness, not just in the lockstep
-  unit suite;
-* the batched stack actually took the run fast path (``fast_runs > 0``);
+  is re-checked here *inside* the timed harness, not just in the unit
+  suite;
+* the engine actually took the run fast path (``fast_runs > 0``);
 * >= 3x ``match_remove`` throughput on the warm-hierarchy gate scenario,
   where the arena is L1-resident so every node scan collapses to the fast
   path (measured ~4.1x). The cold scenario — default 32 KiB L1, arena far
   larger — is reported but not gated: most runs there fail the residency
-  gate and replay per probe, so both spellings cost about the same
-  (~1.0x).
+  gate and replay per probe, so both sides cost about the same (~1.0x).
 
 Interleaved best-of-N timing with gate re-measurement (as in
 ``bench_access_path.py``) keeps the comparison robust on noisy machines.
@@ -39,6 +40,7 @@ from repro.analysis.report import render_table
 from repro.matching.engine import MatchEngine
 from repro.matching.entry import MatchItem
 from repro.matching.lla import LinkedListOfArrays
+from repro.matching.port import MemoryPort
 from repro.mem.hierarchy import MemoryHierarchy
 
 #: The paper's deepest search-length point (Figures 4b/6b).
@@ -76,9 +78,15 @@ def _probe():
     return MatchItem(seq=10**9, src=_MISS_SRC, tag=0, cid=0)
 
 
-def build_session(scan_batch, geometry=WARM_GEOMETRY):
+class PerProbeEngine(MatchEngine):
+    """Charges every run probe by probe through the default loop."""
+
+    load_run = MemoryPort.load_run
+
+
+def build_session(engine_cls, geometry=WARM_GEOMETRY):
     hier = MemoryHierarchy(rng=np.random.default_rng(5), **geometry)
-    engine = MatchEngine(hier, scan_batch=scan_batch)
+    engine = engine_cls(hier)
     queue = LinkedListOfArrays(K, port=engine)
     for i in range(DEPTH):
         queue.post(MatchItem(seq=i, src=_DECOY_SRC, tag=i, cid=0))
@@ -108,32 +116,34 @@ def _signature(engine, queue):
 
 
 def time_scan_pair(geometry=WARM_GEOMETRY, rounds=ROUNDS):
-    """Interleaved best-of timing of (per-slot, batched) failed deep scans.
+    """Interleaved best-of timing of (per-probe, engine) failed deep scans.
 
-    One warm session per mode; each timed round runs SCANS idempotent failed
-    searches. Both sessions execute the same operation count, so their final
-    simulated signatures must agree exactly — asserted before returning.
+    One warm session per engine; each timed round runs SCANS idempotent
+    failed searches. Both sessions execute the same operation count, so
+    their final simulated signatures must agree exactly — asserted before
+    returning.
     """
-    sessions = {False: build_session(False, geometry), True: build_session(True, geometry)}
+    engines = (PerProbeEngine, MatchEngine)
+    sessions = {cls: build_session(cls, geometry) for cls in engines}
     probe = _probe()
-    best = {False: float("inf"), True: float("inf")}
+    best = {cls: float("inf") for cls in engines}
     for _ in range(rounds):
-        for batched in (False, True):
-            _, queue = sessions[batched]
+        for cls in engines:
+            _, queue = sessions[cls]
             match_remove = queue.match_remove
             t0 = time.perf_counter()
             for _ in range(SCANS):
                 match_remove(probe)
-            best[batched] = min(best[batched], time.perf_counter() - t0)
-    sig_slot = _signature(*sessions[False])
-    sig_run = _signature(*sessions[True])
-    assert sig_slot == sig_run, (
-        f"batched scan diverged from per-slot: {sig_run} != {sig_slot}"
+            best[cls] = min(best[cls], time.perf_counter() - t0)
+    sig_probe = _signature(*sessions[PerProbeEngine])
+    sig_run = _signature(*sessions[MatchEngine])
+    assert sig_probe == sig_run, (
+        f"load_run diverged from per-probe loads: {sig_run} != {sig_probe}"
     )
-    engine_run = sessions[True][0]
-    assert engine_run.runs > 0, "batched session emitted no runs"
-    assert sessions[False][0].runs == 0
-    return best[False], best[True], engine_run
+    engine_run = sessions[MatchEngine][0]
+    assert engine_run.runs > 0, "engine session charged no runs"
+    assert sessions[PerProbeEngine][0].runs == 0
+    return best[PerProbeEngine], best[MatchEngine], engine_run
 
 
 SCENARIOS = (
@@ -148,43 +158,43 @@ def test_queue_scan_speedup(once):
 
     results = once(run)
     rows = []
-    for name, (slot_s, run_s, engine) in results.items():
+    for name, (probe_s, run_s, engine) in results.items():
         scan_us = run_s / SCANS * 1e6
         rows.append(
             (
                 name,
-                round(slot_s * 1e3, 2),
+                round(probe_s * 1e3, 2),
                 round(run_s * 1e3, 2),
                 round(scan_us, 1),
                 f"{engine.fast_runs}/{engine.runs}",
-                round(slot_s / run_s, 2),
+                round(probe_s / run_s, 2),
             )
         )
     emit(
         render_table(
-            ["scenario", "per-slot ms", "batched ms", "us/scan", "fast runs", "speedup"],
+            ["scenario", "per-probe ms", "load_run ms", "us/scan", "fast runs", "speedup"],
             rows,
-            title="LLA(k=8) depth-%d failed scan: batched vs per-slot (best-of-%d)"
+            title="LLA(k=8) depth-%d failed scan: load_run vs per-probe (best-of-%d)"
             % (DEPTH, ROUNDS),
         )
     )
     # The gate: warm hierarchy, where every node run takes the fast path.
-    slot_s, run_s, engine = results[SCENARIOS[0][0]]
+    probe_s, run_s, engine = results[SCENARIOS[0][0]]
     assert engine.fast_runs > 0, "warm session never took the fast path"
     assert engine.fast_runs == engine.runs, (
-        f"warm scenario replayed {engine.runs - engine.fast_runs} runs per-slot"
+        f"warm scenario replayed {engine.runs - engine.fast_runs} runs per probe"
     )
-    speedup = slot_s / run_s
+    speedup = probe_s / run_s
     for retry in range(2):
         if speedup >= MIN_SCAN_SPEEDUP:
             break
         emit(f"scan gate speedup {speedup:.2f}x below target; re-measuring")
-        slot_s, run_s, _ = time_scan_pair(WARM_GEOMETRY)
-        speedup = max(speedup, slot_s / run_s)
+        probe_s, run_s, _ = time_scan_pair(WARM_GEOMETRY)
+        speedup = max(speedup, probe_s / run_s)
     assert speedup >= MIN_SCAN_SPEEDUP, (
         f"warm scan speedup {speedup:.2f}x < {MIN_SCAN_SPEEDUP}x"
     )
-    # The batched spelling must never be a regression, even when the
-    # residency gate forces per-probe replays (15% slack for timer noise).
-    for name, (slot_s, run_s, _) in results.items():
-        assert run_s <= 1.15 * slot_s, f"{name}: batched slower than per-slot"
+    # load_run must never be a regression, even when the residency gate
+    # forces per-probe replays (15% slack for timer noise).
+    for name, (probe_s, run_s, _) in results.items():
+        assert run_s <= 1.15 * probe_s, f"{name}: load_run slower than per-probe"

@@ -2,7 +2,7 @@
 """Emit benchmark results as machine-readable JSON artifacts.
 
 CI runs this after the test suites and uploads ``BENCH_scan.json`` (the
-batched-scan vs per-slot queue traversal speedup), ``BENCH_traffic.json`` (the
+engine's ``load_run`` vs per-probe queue traversal speedup), ``BENCH_traffic.json`` (the
 open-loop traffic driver's events/sec), and ``BENCH_service.json`` (the
 sweep service's warm-store supervision overhead) so each trajectory is
 preserved per commit — a perf regression then shows up as a trend break in the artifact
@@ -10,8 +10,8 @@ history, not just as a (retried, noise-tolerant) gate failure in one run.
 
 Standalone — no pytest. Reuses the interleaved best-of timing and the
 bit-identity assertions from :mod:`bench_queue_scan` and
-:mod:`bench_traffic`, so a scan-mode or traffic-replay divergence fails the
-script (exit 1) before any JSON is written.
+:mod:`bench_traffic`, so a scan or traffic divergence fails the script
+(exit 1) before any JSON is written.
 
 Usage::
 
@@ -35,7 +35,6 @@ sys.dont_write_bytecode = True
 
 import bench_queue_scan  # noqa: E402
 import bench_traffic  # noqa: E402
-from repro.matching.port import resolve_scan_batch  # noqa: E402
 
 
 def _environment():
@@ -49,13 +48,13 @@ def _environment():
 def collect_scan():
     scenarios = []
     for name, geometry in bench_queue_scan.SCENARIOS:
-        slot_s, run_s, engine = bench_queue_scan.time_scan_pair(geometry)
+        probe_s, run_s, engine = bench_queue_scan.time_scan_pair(geometry)
         scenarios.append(
             {
                 "scenario": name,
-                "per_slot_ms": round(slot_s * 1e3, 3),
-                "batched_ms": round(run_s * 1e3, 3),
-                "speedup": round(slot_s / run_s, 3),
+                "per_probe_ms": round(probe_s * 1e3, 3),
+                "load_run_ms": round(run_s * 1e3, 3),
+                "speedup": round(probe_s / run_s, 3),
                 "fast_runs": engine.fast_runs,
                 "runs": engine.runs,
             }
@@ -67,7 +66,6 @@ def write_scan(out: Path) -> None:
     scenarios = collect_scan()
     doc = {
         "benchmark": "queue-scan-transactions",
-        "default_scan_batch": "on" if resolve_scan_batch() else "off",
         "workload": {
             "family": "lla",
             "entries_per_node": bench_queue_scan.K,
@@ -84,8 +82,8 @@ def write_scan(out: Path) -> None:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for row in scenarios:
         print(
-            "{scenario:>17}: per-slot {per_slot_ms:8.2f}ms  "
-            "batched {batched_ms:8.2f}ms  speedup {speedup:.2f}x  "
+            "{scenario:>17}: per-probe {per_probe_ms:8.2f}ms  "
+            "load_run {load_run_ms:8.2f}ms  speedup {speedup:.2f}x  "
             "fast {fast_runs}/{runs}".format(**row)
         )
     print(f"wrote {out}")

@@ -642,7 +642,6 @@ def _cmd_list(args: argparse.Namespace) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI parser (shared flags live on parents)."""
     from repro._version import __version__
-    from repro.matching.port import SCAN_BATCH_ENV
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -660,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="root RNG seed (default 0; 'repro run' defaults "
                         "to the scenario file's own seed)")
-    common.add_argument("--scan-batch", choices=["on", "off"], default=None,
-                        help="queue-scan spelling (default: "
-                        f"${SCAN_BATCH_ENV} or 'on'); both are bit-identical, "
-                        "'on' charges one engine call per contiguous run")
 
     # Runner/store/failure-policy flags shared by the sweep commands.
     sweep = argparse.ArgumentParser(add_help=False)
@@ -787,14 +782,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         _cmd_list(args)
         return 0
-    if getattr(args, "scan_batch", None):
-        # Exported rather than threaded: every MatchEngine resolves the scan
-        # spelling through resolve_scan_batch(), which consults this variable.
-        import os
-
-        from repro.matching.port import SCAN_BATCH_ENV
-
-        os.environ[SCAN_BATCH_ENV] = args.scan_batch
     from repro.errors import ConfigurationError
 
     try:

@@ -128,8 +128,8 @@ class Heater:
     def quiescent_until(self, horizon: float) -> bool:
         """True when no pass can start at any clock value below *horizon*.
 
-        The engine's batched scan path charges a whole run under one
-        :meth:`catch_up`; that is only equivalent to the per-slot replay
+        The engine's scan-run path charges a whole run under one
+        :meth:`catch_up`; that is only equivalent to the per-probe replay
         (which re-syncs before every probe) when every intermediate clock
         value the replay would sync at stays below the next pass start.
         Callers must have already called :meth:`catch_up` for the current

@@ -14,16 +14,15 @@ the hot caching thread". Concretely:
 The wrapper is duck-typed as a :class:`~repro.matching.base.MatchQueue` and
 forwards everything else to the wrapped queue.
 
-Interaction with batched scans: the engine synchronizes the heater once at
-the start of every scan run (:meth:`~repro.hotcache.heater.Heater.catch_up`)
+Interaction with scan runs: the engine synchronizes the heater once at the
+start of every scan run (:meth:`~repro.hotcache.heater.Heater.catch_up`)
 and charges the whole run under that sync only when
 :meth:`~repro.hotcache.heater.Heater.quiescent_until` proves no pass could
 start inside the run's projected span; otherwise it replays the run probe by
-probe, syncing before each — so heated results are bit-identical under both
-``REPRO_SCAN_BATCH`` spellings. Heater lock charges issued here (register/
-deregister) always happen outside the engine's scan bracket: the queue's
-``match_remove`` has fully returned, so no pending header load can straddle
-the charge.
+probe, syncing before each — so heated results are bit-identical to
+charging every probe on its own. Heater lock charges issued here (register/
+deregister) happen after the queue's ``match_remove`` has fully returned,
+never inside a run.
 """
 
 from __future__ import annotations

@@ -84,33 +84,11 @@ class Ch4PerCommunicatorQueue(MatchQueue):
         self.stats.posts += 1
 
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Find, remove and return the earliest item matching *probe*, or None."""
-        if self.port.scan_batch:
-            return self._match_remove_runs(probe)
-        return self._match_remove_slots(probe)
+        """Find, remove and return the earliest item matching *probe*, or None.
 
-    def _match_remove_slots(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Per-slot scan: one port load per node inspected."""
-        self.port.load(self._table_slot(probe.cid), _PTR_BYTES)
-        lst = self._lists.get(probe.cid)
-        probes = 0
-        if lst is not None:
-            for idx, node in enumerate(lst):
-                self.port.load(node.alloc.addr, self.node_bytes)
-                probes += 1
-                if items_match(node.item, probe):
-                    lst.pop(idx)
-                    if idx > 0:
-                        self.port.store(lst[idx - 1].alloc.addr, _PTR_BYTES)
-                    self.heap.free(node.alloc)
-                    self._live -= 1
-                    self.stats.record_search(probes, True)
-                    return node.item
-        self.stats.record_search(probes, False)
-        return None
-
-    def _match_remove_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Batched scan: communicator list charged as contiguous runs."""
+        The communicator's list is charged as constant-stride runs up to
+        and including the match.
+        """
         port = self.port
         port.load(self._table_slot(probe.cid), _PTR_BYTES)
         lst = self._lists.get(probe.cid)

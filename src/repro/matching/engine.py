@@ -10,14 +10,20 @@ If a hot-cache heater is attached, the engine synchronizes it before every
 memory operation, so heater passes that should have happened "in the
 background" are applied to the shared cache before the matching core touches
 it (see :mod:`repro.hotcache.heater`).
+
+Queue searches reach the engine as :meth:`MatchEngine.load_run` runs. A run
+is charged in one step when its lines are clean L1 hits and no heater pass
+can start inside it, and replayed probe by probe through :meth:`load`
+otherwise; either way the result is bit-identical to the per-probe default
+loop of :class:`~repro.matching.port.MemoryPort`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, TypeVar, Union
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
-from repro.matching.port import MemoryPort, resolve_scan_batch
+from repro.matching.port import MemoryPort
 from repro.mem.cache import CLS_NETWORK
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.layout import LINE_SHIFT
@@ -62,7 +68,6 @@ class MatchEngine(MemoryPort):
         software_prefetch: bool = False,
         sw_prefetch_coverage: float = 0.9,
         sw_prefetch_issue_cycles: float = 1.0,
-        scan_batch: Optional[Union[bool, str]] = None,
     ) -> None:
         self.hierarchy = hierarchy
         self.clock = clock if clock is not None else Clock()
@@ -79,18 +84,11 @@ class MatchEngine(MemoryPort):
         self.software_prefetch = software_prefetch
         self.sw_prefetch_coverage = sw_prefetch_coverage
         self.sw_prefetch_issue_cycles = sw_prefetch_issue_cycles
-        # Scan batching (arg beats REPRO_SCAN_BATCH beats on). Interleaved
-        # prefetch hints are part of the per-slot traversal order, so the
-        # batched spelling — which reorders hints ahead of the coalesced
-        # loads — is only offered when hints are inert.
-        self.scan_batch = resolve_scan_batch(scan_batch) and not software_prefetch
         # Hints are pure middleware-prefetch signals on this port; when the
-        # prefetcher is off they have no simulated effect, and batched scans
-        # may skip emitting them entirely.
+        # prefetcher is off they have no simulated effect, and scans may
+        # skip emitting them entirely.
         self.hint_is_noop = not software_prefetch
         self.heater = None  # set via attach_heater
-        self._scan_active = False
-        self._pending: Optional[Tuple[int, int]] = None
         self._geometry: dict = {}
         # run_latency is static per (hierarchy, core, class) — netcache
         # interception, L1 policy and L1 latency are fixed at construction —
@@ -129,26 +127,8 @@ class MatchEngine(MemoryPort):
     # -- MemoryPort -----------------------------------------------------------
 
     def load(self, addr: int, nbytes: int) -> None:
-        """Record/charge a load of *nbytes* at *addr*.
-
-        Inside a scan bracket (see :meth:`begin_scan`) a non-empty load is
-        held pending so an immediately following contiguous
-        :meth:`load_run` can absorb it as the run's header probe; any other
-        operation flushes it through the normal path first, so the charge
-        order observable on the clock never changes.
-        """
-        if self._scan_active:
-            pending = self._pending
-            if pending is not None:
-                self._pending = None
-                self._load_now(pending[0], pending[1])
-            if nbytes > 0:
-                self._pending = (addr, nbytes)
-                return
-        self._load_now(addr, nbytes)
-
-    def _load_now(self, addr: int, nbytes: int) -> None:
-        """The per-slot load charge (heater sync, one transaction, clock)."""
+        """Record/charge a load of *nbytes* at *addr*: heater sync, one
+        transaction, clock."""
         interference = self._sync_heater()
         if nbytes <= 0:
             cycles = 0.0
@@ -167,22 +147,11 @@ class MatchEngine(MemoryPort):
         self.loads += 1
         self.load_cycles += cycles
 
-    def _flush_pending(self) -> None:
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            self._load_now(pending[0], pending[1])
+    #: The per-probe replay inside :meth:`load_run` charges through this
+    #: name, so a wrapper installed on the public ``load`` sees each run once.
+    _load_now = load
 
     # -- scan transactions ---------------------------------------------------
-
-    def begin_scan(self) -> None:
-        """Open a scan bracket: the next load may merge into a run."""
-        self._scan_active = True
-
-    def end_scan(self) -> None:
-        """Close the scan bracket, flushing any still-pending header load."""
-        self._scan_active = False
-        self._flush_pending()
 
     @staticmethod
     def _run_geometry(
@@ -201,7 +170,7 @@ class MatchEngine(MemoryPort):
         path never sees them. Returns ``(pv, lines, vis, total, nloads)``:
         per-probe line counts in probe order, the visited absolute line
         numbers ascending, their visit counts, the grand total, and the
-        number of per-slot loads the run stands for.
+        number of per-probe loads the run stands for.
         """
         shift = LINE_SHIFT
         if header is not None:
@@ -246,26 +215,17 @@ class MatchEngine(MemoryPort):
     ) -> None:
         """Charge a contiguous scan run of *probes* equal-stride loads.
 
-        Bit-identical to the per-slot spelling (the
+        Bit-identical to the per-probe default loop (the
         :class:`~repro.matching.port.MemoryPort` contract): one heater
         catch-up covers the whole run, then the per-probe charges are
         replayed — arithmetically when every line of the run is a clean L1
         hit and no heater pass can fall inside it (see
         :meth:`~repro.mem.hierarchy.MemoryHierarchy.access_run`), probe by
         probe through the ordinary load path otherwise. A header probe —
-        *header_nbytes* ending exactly at *addr*, or equivalently a pending
-        bracketed header load that ends there — joins the run as its
-        leading probe; it keeps its own compare+interference charge, so
-        merged and unmerged spellings cost the same.
+        *header_nbytes* ending exactly at *addr* — joins the run as its
+        leading probe; it keeps its own compare+interference charge, so it
+        costs what a separate header load would.
         """
-        if self._scan_active:
-            pending = self._pending
-            if pending is not None:
-                self._pending = None
-                if probes > 0 and not header_nbytes and pending[0] + pending[1] == addr:
-                    header_nbytes = pending[1]
-                else:
-                    self._load_now(pending[0], pending[1])
         if probes <= 0:
             if header_nbytes:
                 self._load_now(addr - header_nbytes, header_nbytes)
@@ -313,7 +273,7 @@ class MatchEngine(MemoryPort):
             if heater is not None:
                 # The whole run is charged under one catch-up: legal only
                 # when no pass could have started at any clock value the
-                # per-slot replay would have synced at (all are below this
+                # per-probe replay would have synced at (all are below this
                 # projection; the +1.0 slack dominates float summation
                 # error by orders of magnitude).
                 projected = self.clock.now + mem + nloads * cc + 1.0
@@ -350,7 +310,7 @@ class MatchEngine(MemoryPort):
             # Every per-probe addend (v*lat, cc) and every partial sum is an
             # integer-valued float below 2**53: the accumulation is exact,
             # so any association — including this one-shot fold — is
-            # bit-identical to the per-slot order.
+            # bit-identical to the per-probe order.
             now += delta
             lc += delta
             lsc += mem
@@ -368,7 +328,7 @@ class MatchEngine(MemoryPort):
         ls.lines += total
         ls.l1_hits += total
         self.loads += nloads
-        # Leave the scratch transaction as the last per-slot probe would.
+        # Leave the scratch transaction as the last per-probe load would.
         tx = self._tx
         v = pv[-1]
         tx.lines = v
@@ -383,7 +343,6 @@ class MatchEngine(MemoryPort):
 
     def store(self, addr: int, nbytes: int) -> None:
         """Record/charge a store of *nbytes* at *addr*."""
-        self._flush_pending()
         interference = self._sync_heater()
         tx = self.hierarchy.write_tx(self.core_id, addr, nbytes, self.mem_class, out=self._tx)
         cycles = tx.lines * self.store_cycles + interference
@@ -395,7 +354,6 @@ class MatchEngine(MemoryPort):
         """Middleware prefetch hint (no-op unless software_prefetch is on)."""
         if not self.software_prefetch or nbytes <= 0:
             return
-        self._flush_pending()
         hier = self.hierarchy
         core = hier.cores[self.core_id]
         first = addr >> LINE_SHIFT

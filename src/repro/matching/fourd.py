@@ -110,46 +110,11 @@ class FourDimensionalQueue(MatchQueue):
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
         """Find, remove and return the earliest item matching *probe*, or None."""
         if probe.wildcard_source:
-            if self.port.scan_batch:
-                return self._match_remove_scan_runs(probe)
             return self._match_remove_scan(probe)
-        if self.port.scan_batch:
-            return self._match_remove_runs(probe)
-        return self._match_remove_slots(probe)
+        return self._match_remove_descent(probe)
 
-    def _match_remove_slots(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Per-slot scan: one port load per cell inspected."""
-        probes = 0
-        key = rank_digits(probe.src % self.nranks, self.base)
-        for level, digit in enumerate(key):
-            self.port.load(
-                self._level_array.addr + (level * self.base + digit) * _PTR_BYTES,
-                _PTR_BYTES,
-            )
-        best: Optional[_Cell] = None
-        for cell in self._leaves.get(key, ()):
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                best = cell
-                break
-        for cell in self._wild:
-            if best is not None and cell.item.seq >= best.item.seq:
-                break
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                best = cell
-                break
-        if best is None:
-            self.stats.record_search(probes, False)
-            return None
-        self._remove_cell(best)
-        self.stats.record_search(probes, True)
-        return best.item
-
-    def _match_remove_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Batched scan: level descent stays per-pointer (non-contiguous),
+    def _match_remove_descent(self, probe: MatchItem) -> Optional[MatchItem]:
+        """Concrete probe: level descent stays per-pointer (non-contiguous),
         leaf and wildcard traversals are charged as contiguous runs."""
         port = self.port
         key = rank_digits(probe.src % self.nranks, self.base)
@@ -185,19 +150,7 @@ class FourDimensionalQueue(MatchQueue):
         return best.item
 
     def _match_remove_scan(self, probe: MatchItem) -> Optional[MatchItem]:
-        probes = 0
-        for cell in self._all.values():
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                self._remove_cell(cell)
-                self.stats.record_search(probes, True)
-                return cell.item
-        self.stats.record_search(probes, False)
-        return None
-
-    def _match_remove_scan_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Wildcard probe, batched: the global FIFO scan charged as runs."""
+        """Wildcard probe: the global FIFO scan, charged as runs."""
         addrs = []
         found: Optional[_Cell] = None
         for cell in self._all.values():

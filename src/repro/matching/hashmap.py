@@ -102,46 +102,14 @@ class BinnedHashQueue(MatchQueue):
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
         """Find, remove and return the earliest item matching *probe*, or None."""
         if probe.wildcard_source or probe.wildcard_tag:
-            if self.port.scan_batch:
-                return self._match_remove_slow_runs(probe)
             return self._match_remove_slow(probe)
-        if self.port.scan_batch:
-            return self._match_remove_runs(probe)
-        return self._match_remove_slots(probe)
+        return self._match_remove_binned(probe)
 
-    def _match_remove_slots(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Per-slot scan: one port load per cell inspected."""
-        probes = 0
-        b = bin_index(probe.src, probe.tag, probe.cid, self.nbins)
-        # The constant queue-selection overhead: hashing + bin head load.
-        self.port.load(self._bin_array.addr + b * _PTR_BYTES, _PTR_BYTES)
-        best: Optional[_Cell] = None
-        for cell in self._bins.get(b, ()):  # FIFO within the bin
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                best = cell
-                break
-        # The wildcard list may hold an earlier-posted match.
-        for cell in self._wild:
-            if best is not None and cell.item.seq >= best.item.seq:
-                break
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                best = cell
-                break
-        if best is None:
-            self.stats.record_search(probes, False)
-            return None
-        self._remove_cell(best)
-        self.stats.record_search(probes, True)
-        return best.item
-
-    def _match_remove_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Batched scan: bin traversal then wildcard traversal, as runs."""
+    def _match_remove_binned(self, probe: MatchItem) -> Optional[MatchItem]:
+        """Concrete probe: bin traversal then wildcard traversal, as runs."""
         port = self.port
         b = bin_index(probe.src, probe.tag, probe.cid, self.nbins)
+        # The constant queue-selection overhead: hashing + bin head load.
         port.load(self._bin_array.addr + b * _PTR_BYTES, _PTR_BYTES)
         best: Optional[_Cell] = None
         bin_addrs = []
@@ -153,7 +121,7 @@ class BinnedHashQueue(MatchQueue):
         emit_node_runs(port, bin_addrs, self.node_bytes)
         probes = len(bin_addrs)
         # The wildcard list may hold an earlier-posted match; the seq guard
-        # sits before the load, exactly as in the per-slot spelling.
+        # ends the traversal before the later cell is loaded.
         wild_addrs = []
         for cell in self._wild:
             if best is not None and cell.item.seq >= best.item.seq:
@@ -172,20 +140,7 @@ class BinnedHashQueue(MatchQueue):
         return best.item
 
     def _match_remove_slow(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Wildcard probe: FIFO scan over every live item."""
-        probes = 0
-        for cell in self._all.values():
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                self._remove_cell(cell)
-                self.stats.record_search(probes, True)
-                return cell.item
-        self.stats.record_search(probes, False)
-        return None
-
-    def _match_remove_slow_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Wildcard probe, batched: the global FIFO scan charged as runs."""
+        """Wildcard probe: FIFO scan over every live item, charged as runs."""
         addrs = []
         found: Optional[_Cell] = None
         for cell in self._all.values():

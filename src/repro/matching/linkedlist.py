@@ -16,8 +16,8 @@ NullPort search index
 ---------------------
 
 Against a :class:`~repro.matching.port.NullPort` a search charges nothing,
-so all a search decides is *where* its match sits: the walk's loads, hints
-and scan runs follow from that position alone. A list built on a NullPort
+so all a search decides is *where* its match sits: the walk's loads and
+hints follow from that position alone. A list built on a NullPort
 therefore keeps an index beside ``_nodes`` and answers concrete probes
 without walking:
 
@@ -29,13 +29,6 @@ without walking:
   most four chain heads, and every removal takes its chain's head.
 * **Insertion slots.** ``_slots`` holds each live node's posting slot in
   list order (it is sorted), so a match's position is one ``bisect``.
-* **Run roles.** ``_roles`` holds one byte per live node — single, run
-  start or run continuation — mirroring the greedy segmentation
-  :func:`~repro.matching.port.emit_node_runs` would make of the whole list.
-  A scan's prefix is segmented the same way except that the segment holding
-  the match is cut there, so its ``runs`` and ``run_probes`` are two
-  ``bytearray.count`` calls. Posts and removals re-segment only from the
-  node before the change and stop as soon as the old segmentation resumes.
 
 The port is then charged arithmetically with exactly what the walk would
 have counted; the unlink stores still go through the port. Wildcard probes,
@@ -57,11 +50,6 @@ from repro.matching.entry import LL_NODE_POINTERS, MatchItem
 from repro.matching.envelope import FULL_MASK, items_match
 from repro.matching.port import MemoryPort, NullPort, emit_node_runs
 from repro.mem.alloc import Allocation, SequentialHeap
-
-#: Run roles of the NullPort index, one byte per live node.
-_SINGLE = 0  # a one-node segment: a plain load
-_START = 1  # first node of a run
-_CONT = 2  # later node of a run
 
 #: Key component of a wildcarded (zero-mask) field.
 _ANY = None
@@ -129,7 +117,6 @@ class BaselineLinkedList(MatchQueue):
             self._heads: dict = {}
             self._tails: dict = {}
             self._slots: list[int] = []
-            self._roles = bytearray()
             self._next_slot = 0
             self._partial = 0  # live items with a partial mask (no key)
             self._wild = 0  # live keyed items with a wildcarded field
@@ -161,55 +148,39 @@ class BaselineLinkedList(MatchQueue):
             and probe.tag_mask == FULL_MASK
         ):
             return self._match_remove_indexed(probe)
-        if self.port.scan_batch:
-            return self._match_remove_runs(probe)
-        return self._match_remove_slots(probe)
+        return self._match_remove_walk(probe)
 
-    def _match_remove_slots(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Per-slot scan: one port load per node inspected."""
-        probes = 0
-        nodes = self._nodes
-        lookahead = self.SW_PREFETCH_LOOKAHEAD
-        for idx, node in enumerate(nodes):
-            if idx + lookahead < len(nodes):
-                ahead = nodes[idx + lookahead]
-                self.port.hint(ahead.alloc.addr, self.node_bytes)
-            # One load covers the node's pointers and entry payload.
-            self.port.load(node.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(node.item, probe):
-                self._unlink(idx)
-                self.stats.record_search(probes, True)
-                return node.item
-        self.stats.record_search(probes, False)
-        return None
+    def _match_remove_walk(self, probe: MatchItem) -> Optional[MatchItem]:
+        """Walk the list: one node load (pointers plus entry) per node up to
+        and including the match, the whole list on a miss.
 
-    def _match_remove_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Batched scan: coalesce heap-adjacent nodes into scan runs.
-
-        The match index is decided host-side, then the nodes the per-slot
-        scan would have loaded (up to and including the match) are charged
-        with maximal contiguous stretches as single runs. Hint count is the
-        per-slot count; they are emitted ahead of the loads, which is only
-        observable to ports where hints are inert or order-insensitive (the
-        engine disables batching when software prefetch is live).
+        The match is decided host-side first. On a port where hints act,
+        each hint goes out right before the load of the node
+        ``SW_PREFETCH_LOOKAHEAD`` behind its target — the order of a real
+        pointer chase, which decides what the prefetch covers — so the
+        loads stay one per node. Otherwise the loads are coalesced into
+        constant-stride runs.
         """
         nodes = self._nodes
         n = len(nodes)
         port = self.port
+        node_bytes = self.node_bytes
         found = -1
         for idx, node in enumerate(nodes):
             if items_match(node.item, probe):
                 found = idx
                 break
         stop = found if found >= 0 else n - 1
-        if not port.hint_is_noop:
+        if port.hint_is_noop:
+            emit_node_runs(port, [nodes[i].alloc.addr for i in range(stop + 1)], node_bytes)
+        else:
             lookahead = self.SW_PREFETCH_LOOKAHEAD
-            for idx in range(max(0, min(stop + 1, n - lookahead))):
-                port.hint(nodes[idx + lookahead].alloc.addr, self.node_bytes)
-        emit_node_runs(
-            port, [nodes[i].alloc.addr for i in range(stop + 1)], self.node_bytes
-        )
+            hint = port.hint
+            load = port.load
+            for idx in range(stop + 1):
+                if idx + lookahead < n:
+                    hint(nodes[idx + lookahead].alloc.addr, node_bytes)
+                load(nodes[idx].alloc.addr, node_bytes)
         if found >= 0:
             node = nodes[found]
             self._unlink(found)
@@ -221,10 +192,9 @@ class BaselineLinkedList(MatchQueue):
     def _match_remove_indexed(self, probe: MatchItem) -> Optional[MatchItem]:
         """NullPort search of a concrete probe through the index.
 
-        Charges the port exactly what either walk above would have: one
-        load and byte count per node up to the match (the whole list on a
-        miss), the walk's hint count, and — when batching — the runs of
-        the cut segmentation.
+        Charges the port exactly what the walk above would have: one load
+        and byte count per node up to the match (the whole list on a miss)
+        and the walk's hint count.
         """
         cid = probe.cid
         src = probe.src & FULL_MASK
@@ -244,16 +214,6 @@ class BaselineLinkedList(MatchQueue):
         hints = min(inspected, n - self.SW_PREFETCH_LOOKAHEAD)
         if hints > 0:
             port.hints += hints
-        if port.scan_batch and inspected:
-            roles = self._roles
-            runs = roles.count(_START, 0, inspected)
-            run_probes = inspected - roles.count(_SINGLE, 0, inspected)
-            if roles[inspected - 1] == _START:
-                # The scan stops on a run's first node: a plain load.
-                runs -= 1
-                run_probes -= 1
-            port.runs += runs
-            port.run_probes += run_probes
         if node is None:
             self.stats.record_search(n, False)
             return None
@@ -290,13 +250,9 @@ class BaselineLinkedList(MatchQueue):
             self._tails[key] = node
             if key[1] is _ANY or key[2] is _ANY:
                 self._wild += 1
-        # Placeholder role: a continuation never stops the re-segmentation.
-        self._roles.append(_CONT)
-        self._resegment(len(self._nodes) - 1)
 
     def _index_remove(self, node: _Node, idx: int) -> None:
         del self._slots[idx]
-        del self._roles[idx]
         key = _index_key(node.item)
         if key is None:
             self._partial -= 1
@@ -311,50 +267,6 @@ class BaselineLinkedList(MatchQueue):
                 self._heads[key] = nxt
             if key[1] is _ANY or key[2] is _ANY:
                 self._wild -= 1
-        self._resegment(idx)
-
-    def _resegment(self, first: int) -> None:
-        """Restore ``_roles`` after the node at *first* was added or removed.
-
-        Roles before *first* - 1 are unaffected. From there the greedy
-        segmentation is replayed until it reaches a node whose stored role
-        (the old segmentation, shifted past the change) it would reproduce:
-        a segment start at or after *first*, or a continuation after
-        *first*, whose predecessor and spacing are then unchanged too.
-        """
-        nodes = self._nodes
-        roles = self._roles
-        n = len(nodes)
-        node_bytes = self.node_bytes
-        spacing = None  # stride of the run still open at position i - 1
-        if first == 0:
-            i = 0
-        elif roles[first - 1] == _CONT:
-            i = first
-            spacing = nodes[first - 1].alloc.addr - nodes[first - 2].alloc.addr
-        else:
-            i = first - 1
-        while i < n:
-            addr = nodes[i].alloc.addr
-            if spacing is not None:
-                if addr - nodes[i - 1].alloc.addr == spacing:
-                    if i > first and roles[i] == _CONT:
-                        return
-                    roles[i] = _CONT
-                    i += 1
-                    continue
-                spacing = None
-            if i >= first and roles[i] != _CONT:
-                return
-            if i + 1 < n:
-                gap = nodes[i + 1].alloc.addr - addr
-                if gap >= node_bytes:
-                    roles[i] = _START
-                    spacing = gap
-                    i += 1
-                    continue
-            roles[i] = _SINGLE
-            i += 1
 
     def __len__(self) -> int:
         return len(self._nodes)

@@ -22,13 +22,12 @@ heater register the pool's slabs once instead of tracking every node
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.matching.base import MatchQueue
 from repro.matching.entry import MatchItem, lla_node_bytes
-from repro.matching.envelope import items_match
 from repro.matching.port import MemoryPort
 from repro.mem.alloc import Allocation, BumpAllocator, SlabPool
 
@@ -117,56 +116,23 @@ class LinkedListOfArrays(MatchQueue):
     SW_PREFETCH_LOOKAHEAD = 2
 
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Find, remove and return the earliest item matching *probe*, or None."""
-        if self.port.scan_batch:
-            return self._match_remove_runs(probe)
-        return self._match_remove_slots(probe)
+        """Find, remove and return the earliest item matching *probe*, or None.
 
-    def _match_remove_slots(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Per-slot scan: one port load per slot inspected."""
-        probes = 0
-        lookahead = self.SW_PREFETCH_LOOKAHEAD
-        for node_idx, node in enumerate(self._nodes):
-            if node_idx + lookahead < len(self._nodes):
-                ahead = self._nodes[node_idx + lookahead]
-                self.port.hint(ahead.alloc.addr, self.node_bytes)
-            # Node header: head/tail indexes come in with the first line.
-            self.port.load(node.alloc.addr, _SLOT_BASE)
-            for idx in range(node.start, node.end):
-                item = node.slots[idx]
-                self.port.load(node.slot_addr(idx, self.entry_bytes), self.entry_bytes)
-                if item is None:
-                    # A hole: invalid tag/source, all mask bits set — it is
-                    # inspected (we just loaded it) but can never match.
-                    self.hole_probes += 1
-                    continue
-                probes += 1
-                if items_match(item, probe):
-                    self._remove_at(node, idx, node_idx)
-                    self.stats.record_search(probes, True)
-                    return item
-        self.stats.record_search(probes, False)
-        return None
-
-    def _match_remove_runs(self, probe: MatchItem) -> Optional[MatchItem]:
-        """Batched scan: header + inspected slots as one run per node.
-
-        The match is decided host-side first (slot contents are simulator
-        state, not simulated memory), then the exact slots the per-slot scan
-        would have loaded — ``start`` up to and including the match, or the
-        whole window — are charged as a single ``load_run`` bracketed with
-        the node header. Probe/hole accounting is identical by construction.
+        Each node is charged as one run: its header plus the slots from
+        ``start`` up to and including the match (or the whole used window),
+        decided host-side first (slot contents are simulator state, not
+        simulated memory). Holes inside the window are loaded and counted in
+        ``hole_probes`` but never match.
         """
         probes = 0
         port = self.port
         eb = self.entry_bytes
-        # Hints are part of the per-slot traversal spelling; a port that
-        # provably ignores them lets the batched scan skip the emission.
+        # A port that provably ignores hints lets the scan skip emitting them.
         lookahead = -1 if port.hint_is_noop else self.SW_PREFETCH_LOOKAHEAD
         # The match rule inlined with the probe's fields hoisted (keep in
         # sync with repro.matching.envelope.items_match): the host-side scan
-        # is the batched spelling's whole per-slot cost, so it must not pay
-        # a call per slot.
+        # is the walk's whole per-slot cost, so it must not pay a call per
+        # slot.
         p_cid = probe.cid
         p_src = probe.src
         p_tag = probe.tag
@@ -181,6 +147,8 @@ class LinkedListOfArrays(MatchQueue):
             for idx in range(node.start, node.end):
                 item = slots[idx]
                 if item is None:
+                    # A hole: invalid tag/source, all mask bits set — it is
+                    # inspected but can never match.
                     self.hole_probes += 1
                     continue
                 probes += 1
@@ -198,14 +166,13 @@ class LinkedListOfArrays(MatchQueue):
             if nprobes <= 0:
                 port.load(base, _SLOT_BASE)
             elif start == 0:
-                # Header + slots in one run: the direct spelling of the
-                # begin_scan/end_scan coalescing (the header's _SLOT_BASE
-                # bytes end exactly at slot 0).
+                # Header + slots in one run (the header's _SLOT_BASE bytes
+                # end exactly at slot 0).
                 port.load_run(base + _SLOT_BASE, nprobes * eb, nprobes, None, _SLOT_BASE)
             else:
                 # The window no longer starts at the header boundary (front
                 # holes were tightened away): the header is charged alone,
-                # exactly as the per-slot scan orders it.
+                # ahead of the slots.
                 port.load(base, _SLOT_BASE)
                 port.load_run(base + _SLOT_BASE + start * eb, nprobes * eb, nprobes)
             if found >= 0:

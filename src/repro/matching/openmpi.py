@@ -108,24 +108,11 @@ class OpenMpiHierarchicalQueue(MatchQueue):
     def _scan_list(
         self, cells: Deque[_Cell], probe: MatchItem, stop_before_seq: Optional[int]
     ) -> tuple[Optional[_Cell], int]:
-        """First match in FIFO order; stops early once seq >= stop_before_seq
-        (a better candidate from another list already exists)."""
-        probes = 0
-        for cell in cells:
-            if stop_before_seq is not None and cell.item.seq >= stop_before_seq:
-                break
-            self.port.load(cell.alloc.addr, self.node_bytes)
-            probes += 1
-            if items_match(cell.item, probe):
-                return cell, probes
-        return None, probes
-
-    def _scan_list_runs(
-        self, cells: Deque[_Cell], probe: MatchItem, stop_before_seq: Optional[int]
-    ) -> tuple[Optional[_Cell], int]:
-        """Batched :meth:`_scan_list`: the match/early-stop decision is made
-        host-side, then the cells the per-slot scan would have loaded are
-        charged with heap-adjacent stretches coalesced into runs."""
+        """First match in FIFO order and the number of cells inspected;
+        stops early once seq >= stop_before_seq (a better candidate from
+        another list already exists). The match/early-stop decision is made
+        host-side, then the inspected cells are charged with heap-adjacent
+        stretches coalesced into runs."""
         addrs = []
         found: Optional[_Cell] = None
         for cell in cells:
@@ -140,7 +127,6 @@ class OpenMpiHierarchicalQueue(MatchQueue):
 
     def match_remove(self, probe: MatchItem) -> Optional[MatchItem]:
         """Find, remove and return the earliest item matching *probe*, or None."""
-        scan = self._scan_list_runs if self.port.scan_batch else self._scan_list
         state = self._comms.get(probe.cid)
         if state is None:
             self.stats.record_search(0, False)
@@ -157,13 +143,13 @@ class OpenMpiHierarchicalQueue(MatchQueue):
             lst = state.by_src.get(probe.src)
             candidates = [lst] if lst is not None else []
         for cells in candidates:
-            cell, p = scan(
+            cell, p = self._scan_list(
                 cells, probe, best.item.seq if best is not None else None
             )
             probes += p
             if cell is not None and (best is None or cell.item.seq < best.item.seq):
                 best, best_list = cell, cells
-        cell, p = scan(
+        cell, p = self._scan_list(
             state.wild, probe, best.item.seq if best is not None else None
         )
         probes += p

@@ -11,71 +11,48 @@ Scan transactions
 
 Queue searches walk *contiguous runs*: an LLA node packs ``k`` entries
 behind one header (paper section 3.1), and heap-allocated list nodes are
-frequently adjacent. :meth:`MemoryPort.load_run` charges one such run —
-``probes`` equal-stride loads covering ``nbytes`` at ``addr`` — in a single
-port call, and :meth:`begin_scan`/:meth:`end_scan` bracket a header+slots
-pair so the port may coalesce them into one transaction. The contract is
-strict equivalence: ``load_run(addr, nbytes, probes)`` must leave every
-observable (counters, charged cycles, cache state, RNG consumption)
-**bit-identical** to the per-slot spelling::
+frequently adjacent. Every queue family decides its match host-side and
+charges the slots it inspected through :meth:`MemoryPort.load_run` — one
+port call per run of ``probes`` equal-stride loads covering ``nbytes`` at
+``addr``, optionally led by a header probe. The default implementation is
+the per-probe loop::
 
     stride = nbytes // probes
     for i in range(probes):
         port.load(addr + i * stride, stride)
 
-Ports that cannot batch simply inherit the default, which *is* that loop.
-Queues consult :attr:`MemoryPort.scan_batch` to decide which spelling to
-emit; ``REPRO_SCAN_BATCH=off`` (or ``MatchEngine(scan_batch=False)``)
-selects the retained per-slot path.
+and it is the oracle for every override: a port's ``load_run`` must leave
+every observable (counters, charged cycles, cache state, RNG consumption)
+**bit-identical** to it.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Union
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
-#: Environment variable selecting the scan spelling queues emit.
-SCAN_BATCH_ENV = "REPRO_SCAN_BATCH"
 
-#: Scan batching is on unless an argument or the environment disables it.
-DEFAULT_SCAN_BATCH = True
+def resolve_scan_batch(value: Optional[bool] = None) -> bool:
+    """The queue-scan spelling: always batched ``load_run`` runs (``True``).
 
-
-def resolve_scan_batch(value: Optional[Union[bool, str]] = None) -> bool:
-    """Resolve the scan-batch mode: argument beats environment beats default.
-
-    Accepts booleans or the strings ``"on"``/``"off"`` (the CLI and
-    environment spelling).
+    Any non-None *value* raises :class:`ConfigurationError`.
     """
-    if value is None:
-        value = os.environ.get(SCAN_BATCH_ENV) or DEFAULT_SCAN_BATCH
-    if isinstance(value, bool):
-        return value
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise ConfigurationError(
-        f"unknown scan-batch mode {value!r}; expected 'on' or 'off'"
-    )
+    if value is not None:
+        raise ConfigurationError(
+            f"unknown queue-scan mode {value!r}; queues always scan in runs"
+        )
+    return True
 
 
 class MemoryPort:
     """Interface: queues call these for every simulated memory operation."""
 
-    #: Whether queues should emit batched scan runs (``load_run``) instead of
-    #: per-slot ``load`` calls against this port. Both spellings are charged
-    #: identically; this only selects which code path runs. Instances may
-    #: override (the MatchEngine resolves it per ``REPRO_SCAN_BATCH``).
-    scan_batch: bool = DEFAULT_SCAN_BATCH
-
     #: True when :meth:`hint` provably has no observable effect on this
-    #: port (no prefetcher, no counter), letting batched scans skip
-    #: emitting hints altogether. Ports that count hints (NullPort) or may
-    #: act on them must leave this False so the hint stream stays
-    #: mode-invariant.
+    #: port (no prefetcher, no counter), letting scans skip emitting hints
+    #: altogether. Ports that count hints (NullPort) or may act on them
+    #: must leave this False; a queue whose hints run ahead of a pointer
+    #: chase then interleaves them with its loads.
     hint_is_noop: bool = False
 
     def load(self, addr: int, nbytes: int) -> None:
@@ -99,11 +76,9 @@ class MemoryPort:
         fixed-stride node layouts (allocation headers between list nodes)
         and must be ``>= size`` so probe footprints never overlap. A
         nonzero *header_nbytes* prepends a header probe — a load of that
-        many bytes ending exactly at *addr* — to the run: the direct
-        spelling of the header+slots coalescing the
-        :meth:`begin_scan`/:meth:`end_scan` bracket expresses compositely.
-        The default implementation is that loop; ports with a cheaper
-        equivalent override it.
+        many bytes ending exactly at *addr* — to the run. The default
+        implementation is that loop; ports with a cheaper equivalent
+        override it and must validate exactly as it does.
         """
         if header_nbytes:
             self.load(addr - header_nbytes, header_nbytes)
@@ -123,14 +98,6 @@ class MemoryPort:
         for _ in range(probes):
             self.load(addr, size)
             addr += spacing
-
-    def begin_scan(self) -> None:
-        """Open a scan bracket: the port may defer one header load so an
-        immediately following contiguous :meth:`load_run` can absorb it.
-        Default: no-op (ports without coalescing need no bracket)."""
-
-    def end_scan(self) -> None:
-        """Close a scan bracket, flushing any deferred header load."""
 
     def store(self, addr: int, nbytes: int) -> None:
         """Record/charge a store of *nbytes* at *addr*."""
@@ -154,22 +121,14 @@ class MemoryPort:
 class NullPort(MemoryPort):
     """Cost-free port that only counts operations."""
 
-    __slots__ = (
-        "loads", "stores", "hints", "bytes_loaded", "bytes_stored",
-        "runs", "run_probes", "scan_batch",
-    )
+    __slots__ = ("loads", "stores", "hints", "bytes_loaded", "bytes_stored")
 
-    def __init__(self, scan_batch: Optional[Union[bool, str]] = None) -> None:
-        self.scan_batch = resolve_scan_batch(scan_batch)
+    def __init__(self) -> None:
         self.loads = 0
         self.stores = 0
         self.hints = 0
         self.bytes_loaded = 0
         self.bytes_stored = 0
-        # Diagnostics only: how much traffic arrived as batched runs. The
-        # shared load/byte counters above are mode-invariant by contract.
-        self.runs = 0
-        self.run_probes = 0
 
     def load(self, addr: int, nbytes: int) -> None:
         """Record/charge a load of *nbytes* at *addr*."""
@@ -184,21 +143,24 @@ class NullPort(MemoryPort):
         spacing: Optional[int] = None,
         header_nbytes: int = 0,
     ) -> None:
-        """O(1) run accounting: counts exactly like the per-slot loads."""
+        """O(1) run accounting: counts and validates exactly like the
+        default per-probe loop."""
         if header_nbytes:
             self.loads += 1
             self.bytes_loaded += header_nbytes
         if probes <= 0:
             return
-        if nbytes % probes:
+        size, rem = divmod(nbytes, probes)
+        if rem or size <= 0:
             raise ConfigurationError(
                 f"load_run of {nbytes} bytes is not {probes} equal strides"
             )
-        nloads = probes + 1 if header_nbytes else probes
+        if spacing is not None and spacing < size:
+            raise ConfigurationError(
+                f"load_run spacing {spacing} overlaps {size}-byte probes"
+            )
         self.loads += probes
         self.bytes_loaded += nbytes
-        self.runs += 1
-        self.run_probes += nloads
 
     def store(self, addr: int, nbytes: int) -> None:
         """Record/charge a store of *nbytes* at *addr*."""
@@ -216,8 +178,6 @@ class NullPort(MemoryPort):
         self.hints = 0
         self.bytes_loaded = 0
         self.bytes_stored = 0
-        self.runs = 0
-        self.run_probes = 0
 
 
 def emit_node_runs(port: MemoryPort, addrs: list, node_bytes: int) -> None:

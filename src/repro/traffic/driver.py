@@ -7,7 +7,7 @@ Two run modes share one substrate:
     deliver, time the match) that every ``bench/osu.py``-style driver used
     to hand-roll. ``osu_bandwidth``/``osu_latency`` now opt into this;
     ``tests/test_traffic_equivalence.py`` pins it repr-identical to the
-    retained legacy loop in both scan modes.
+    retained legacy loop.
 
 ``run_open``
     The open-loop mode: a lazy Poisson/Zipf schedule from

@@ -1,11 +1,11 @@
 """Differential test of the baseline list's NullPort search index.
 
 On a ``NullPort`` the baseline linked list answers concrete probes through
-per-key FIFOs, a slot list and run roles instead of walking its nodes. The
-oracle below is a copy of the plain linear list (both walk spellings) and
-must agree with it after every operation of a random interleaving: the
-returned item, the queue statistics, the FIFO order and all seven NullPort
-counters.
+per-key FIFOs and a slot list instead of walking its nodes. The oracle
+below is a copy of the plain linear list, in two walk spellings (per-node
+loads, or runs coalesced through ``emit_node_runs``), and must agree with it
+after every operation of a random interleaving: the returned item, the
+queue statistics, the FIFO order and all five NullPort counters.
 """
 
 import numpy as np
@@ -21,21 +21,23 @@ from repro.matching.port import NullPort, emit_node_runs
 from repro.mem.alloc import Allocation, BumpAllocator, FragmentedHeap, SequentialHeap
 
 BASE = 0x1000_0000
-COUNTERS = (
-    "loads", "stores", "hints", "bytes_loaded", "bytes_stored", "runs", "run_probes",
-)
+COUNTERS = ("loads", "stores", "hints", "bytes_loaded", "bytes_stored")
 
 
 class _LinearList(BaselineLinkedList):
     """The baseline list as a plain linear walk: the index's oracle.
 
     Construction and accessors are inherited; posting, searching and
-    unlinking are the walk-only spellings, so no index state is touched.
+    unlinking are walk-only, so no index state is touched. With *batch*
+    the walk charges its nodes in runs through ``emit_node_runs``, hints
+    first; otherwise it issues each hint just before the load of the node
+    it runs ahead of. A NullPort's counters cannot tell the two apart.
     """
 
-    def __init__(self, *, entry_bytes, port, heap):
+    def __init__(self, *, entry_bytes, port, heap, batch):
         super().__init__(entry_bytes=entry_bytes, port=port, heap=heap)
         self._indexed = False
+        self._batch = batch
 
     def post(self, item):
         alloc = self.heap.alloc(self.node_bytes)
@@ -47,7 +49,7 @@ class _LinearList(BaselineLinkedList):
         self.stats.posts += 1
 
     def match_remove(self, probe):
-        if self.port.scan_batch:
+        if self._batch:
             return self._linear_runs(probe)
         return self._linear_slots(probe)
 
@@ -110,8 +112,7 @@ class _StrideHeap:
     """Strides from a small set, plus LIFO reuse of freed nodes.
 
     A few distinct strides make coincidences common (a gap left by a
-    removal equal to a neighbouring run's stride), which is where the run
-    roles are hardest to keep; reuse adds backward jumps.
+    removal equal to a neighbouring stride); reuse adds backward jumps.
     """
 
     STRIDES = (40, 48, 80, 88, 96)
@@ -141,21 +142,6 @@ def _heap(kind, seed):
     if kind == "stride":
         return _StrideHeap(rng)
     return BumpAllocator(BASE, 1 << 30)
-
-
-def _greedy_roles(addrs, node_bytes):
-    """The run roles emit_node_runs' segmentation assigns to *addrs*."""
-    roles = []
-    i, n = 0, len(addrs)
-    while i < n:
-        j = i + 1
-        if j < n and addrs[j] - addrs[i] >= node_bytes:
-            spacing = addrs[j] - addrs[i]
-            while j < n and addrs[j] - addrs[j - 1] == spacing:
-                j += 1
-        roles += [0] if j - i == 1 else [1] + [2] * (j - i - 1)
-        i = j
-    return bytes(roles)
 
 
 # Field values: small so keys collide; 2**32 + 1 aliases 1 under the mask.
@@ -212,29 +198,32 @@ def _drive(indexed, oracle, ops, inner=None):
             assert got.seq == want.seq
         assert _snapshot(indexed, indexed.port) == _snapshot(oracle, oracle.port)
         if inner is not None and inner._indexed:
-            addrs = [node.alloc.addr for node in inner._nodes]
-            assert bytes(inner._roles) == _greedy_roles(addrs, inner.node_bytes)
             assert inner._slots == sorted(inner._slots)
             assert len(inner._slots) == len(inner._nodes)
 
 
 HEAPS = ("sequential", "fragmented", "bump", "stride")
 
+#: The oracle's walk spellings: coalesced runs, or one load per node.
+WALKS = pytest.mark.parametrize("batch", [True, False], ids=["batch", "slots"])
 
-@pytest.mark.parametrize("scan_batch", [True, False], ids=["batch", "slots"])
+
+@WALKS
 @pytest.mark.parametrize("heap", HEAPS)
 class TestIndexMatchesLinearWalk:
     @given(ops=OPS, seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=60, deadline=None)
-    def test_plain_list(self, heap, scan_batch, ops, seed):
-        indexed = BaselineLinkedList(port=NullPort(scan_batch), heap=_heap(heap, seed))
-        oracle = _LinearList(entry_bytes=24, port=NullPort(scan_batch), heap=_heap(heap, seed))
+    def test_plain_list(self, heap, batch, ops, seed):
+        indexed = BaselineLinkedList(port=NullPort(), heap=_heap(heap, seed))
+        oracle = _LinearList(
+            entry_bytes=24, port=NullPort(), heap=_heap(heap, seed), batch=batch
+        )
         assert indexed._indexed
         _drive(indexed, oracle, ops, inner=indexed)
         # Draining empties both through exact probes, in FIFO order.
         assert [i.seq for i in indexed.drain()] == [i.seq for i in oracle.drain()]
         assert _snapshot(indexed, indexed.port) == _snapshot(oracle, oracle.port)
-        assert not indexed._heads and not indexed._tails and not indexed._roles
+        assert not indexed._heads and not indexed._tails and not indexed._slots
 
     @given(
         ops=OPS,
@@ -242,11 +231,13 @@ class TestIndexMatchesLinearWalk:
         capacity=st.integers(min_value=1, max_value=6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bounded_drop_head(self, heap, scan_batch, ops, seed, capacity):
-        inner = BaselineLinkedList(port=NullPort(scan_batch), heap=_heap(heap, seed))
+    def test_bounded_drop_head(self, heap, batch, ops, seed, capacity):
+        inner = BaselineLinkedList(port=NullPort(), heap=_heap(heap, seed))
         indexed = BoundedQueue(inner, capacity, policy="drop-head")
         oracle = BoundedQueue(
-            _LinearList(entry_bytes=24, port=NullPort(scan_batch), heap=_heap(heap, seed)),
+            _LinearList(
+                entry_bytes=24, port=NullPort(), heap=_heap(heap, seed), batch=batch
+            ),
             capacity,
             policy="drop-head",
         )
@@ -254,13 +245,13 @@ class TestIndexMatchesLinearWalk:
         assert indexed.admission == oracle.admission
 
 
-@pytest.mark.parametrize("scan_batch", [True, False], ids=["batch", "slots"])
+@WALKS
 @given(ops=OPS, seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=40, deadline=None)
-def test_adaptive_hybrid(scan_batch, ops, seed):
+def test_adaptive_hybrid(batch, ops, seed):
     def build():
         return AdaptiveHybridQueue(
-            port=NullPort(scan_batch),
+            port=NullPort(),
             rng=np.random.default_rng(seed),
             promote_at=8,
             demote_at=3,
@@ -271,7 +262,7 @@ def test_adaptive_hybrid(scan_batch, ops, seed):
     # Swap in the linear list over the same (still unused) heap, so both
     # queues share one rng draw order with their hash bins.
     oracle._list = _LinearList(
-        entry_bytes=24, port=oracle.port, heap=oracle._list.heap
+        entry_bytes=24, port=oracle.port, heap=oracle._list.heap, batch=batch
     )
     _drive(indexed, oracle, ops, inner=indexed._list)
     assert indexed.migrations == oracle.migrations
