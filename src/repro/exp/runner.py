@@ -51,12 +51,18 @@ Deterministic fault injection (:mod:`repro.faults`) plugs in via the
 ``fault_plan`` parameter or the ``REPRO_INJECT_FAULTS`` env var, and is
 resolved per (point index, attempt) supervisor-side, so workers carry no
 shared fault state.
+
+Every pool comes from :func:`worker_pool`, whose workers exit on their own
+once the process that created them is gone, so a SIGKILLed supervisor
+leaves no orphaned workers behind — idle or stalled mid-point.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 import time
 import warnings
 from collections import deque
@@ -104,6 +110,32 @@ def backoff_delay(content_key: str, attempt: int, base_s: float, cap_s: float) -
     digest = hashlib.sha256(f"{content_key}/retry/{attempt}".encode("utf-8")).digest()
     jitter = int.from_bytes(digest[:8], "little") / float(1 << 64)
     return min(cap_s, base_s * (2.0 ** attempt) * (1.0 + 0.5 * jitter))
+
+
+#: Seconds between a pool worker's checks that its supervisor is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the supervisor is gone.
+
+    A daemon thread records the parent pid and hard-exits the worker when
+    it changes (the orphan was reparented). It runs beside the worker's
+    main thread, so a worker stuck in a hung point exits too.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers exit when their supervisor dies."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
 
 
 class _PointTimeout(Exception):
@@ -614,7 +646,7 @@ class Runner:
         ready: deque = deque((i, 0) for i in pending)
         delayed: List[Tuple[float, int, int]] = []  # (eligible_at, index, attempt)
         in_flight: Dict = {}  # future -> (index, attempt, deadline)
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(max_workers=workers)
+        pool: Optional[ProcessPoolExecutor] = worker_pool(workers)
         rebuilds_left = self.max_pool_rebuilds
         try:
             while ready or delayed or in_flight:
@@ -772,7 +804,7 @@ class Runner:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return ProcessPoolExecutor(max_workers=workers), rebuilds_left - 1
+            return worker_pool(workers), rebuilds_left - 1
         ctx.report.degraded_serial = True
         warnings.warn(
             f"process pool broke again ({broken!r}) with no rebuild budget left; "
@@ -827,7 +859,7 @@ class Runner:
                 ready.append((i, attempt))
         self._terminate_pool(pool)
         ctx.report.pool_rebuilds += 1
-        return ProcessPoolExecutor(max_workers=workers)
+        return worker_pool(workers)
 
     def _drain_finished(self, ctx: _RunCtx, in_flight: Dict) -> None:
         """Persist results of already-finished futures (no waiting) before a

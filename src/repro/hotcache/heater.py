@@ -71,7 +71,12 @@ class HeaterConfig:
 
 
 class Heater:
-    """Periodic region toucher keeping match state LLC-resident."""
+    """Periodic region toucher keeping match state LLC-resident.
+
+    Each pass is one hierarchy transaction:
+    :meth:`~repro.mem.hierarchy.MemoryHierarchy.touch_shared_pass` over the
+    whole region list, in the list's order.
+    """
 
     def __init__(
         self,
@@ -150,17 +155,13 @@ class Heater:
         if self.region_provider is not None:
             self.regions.replace_all(self.region_provider())
         duration = 0.0
-        lines = 0
-        refreshed = 0
-        installed = 0
-        touch = self.hierarchy.touch_shared_tx
-        tx = self._tx
-        for region in self.regions:
+        # One admin add per region (zero-size ones too), in list order.
+        for _region in self.regions:
             duration += cfg.region_admin_cycles
-            touch(cfg.core_id, region.addr, region.size, self.mem_class, out=tx)
-            lines += tx.lines
-            refreshed += tx.l3_hits
-            installed += tx.dram_fills
+        tx = self.hierarchy.touch_shared_pass(cfg.core_id, self.regions, self.mem_class, self._tx)
+        lines = tx.lines
+        refreshed = tx.l3_hits
+        installed = tx.dram_fills
         duration += lines * cfg.touch_cycles_per_line
         if cfg.locked:
             self.lock.hold(start, duration)

@@ -73,26 +73,26 @@ class CollaborativeHeater(Heater):
         if self.region_provider is not None:
             self.regions.replace_all(self.region_provider())
         cfg = self.config
-        # How much touching fits into the lead window?
+        # How much touching fits into the lead window? The budget never
+        # depends on what a touch finds, so the regions that fit are picked
+        # first and then touched as one pass.
         budget = lead_cycles
         warmed_lines = 0
         total_lines = 0
-        refreshed = 0
-        installed = 0
         duration = 0.0
-        touch = self.hierarchy.touch_shared_tx
-        tx = self._tx
+        warmed = []
         for region in self.regions:
             lines = line_span(region.addr, region.size)
             total_lines += lines
             cost = cfg.region_admin_cycles + lines * cfg.touch_cycles_per_line
             if budget >= cost:
-                touch(cfg.core_id, region.addr, region.size, self.mem_class, out=tx)
-                refreshed += tx.l3_hits
-                installed += tx.dram_fills
+                warmed.append(region)
                 warmed_lines += lines
                 budget -= cost
                 duration += cost
+        tx = self.hierarchy.touch_shared_pass(cfg.core_id, warmed, self.mem_class, self._tx)
+        refreshed = tx.l3_hits
+        installed = tx.dram_fills
         if cfg.locked and duration > 0:
             self.lock.hold(phase_start - lead_cycles, duration)
         self.partial_passes += 1

@@ -7,7 +7,9 @@ This is the stage on which the whole study plays out:
 * The *heater core* (hot caching, section 3.2) periodically touches the match
   regions; its accesses fill the **shared** L3, which is exactly why the
   matching core later finds the data close by ("Compute core fetches data
-  from shared cache instead of DRAM", Figure 3).
+  from shared cache instead of DRAM", Figure 3). One heater pass is one
+  hierarchy transaction, :meth:`MemoryHierarchy.touch_shared_pass`, over
+  every region of the pass.
 * ``flush()`` models the cache-destroying compute phase between benchmark
   iterations (section 4.1: "we cleared the cache between each iteration").
   When a way partition or a dedicated network cache is configured, flush
@@ -28,11 +30,12 @@ Simplifications (documented, deliberate):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.mem.alloc import Allocation
 from repro.mem.cache import (
     CLS_DEFAULT,
     CLS_NETWORK,
@@ -638,32 +641,126 @@ class MemoryHierarchy:
         ``l3_hits`` counts lines that were already LLC-resident (a recency
         refresh — the heater doing its job), ``dram_fills`` lines it had to
         install; the split is what the heater reports as refreshed-per-pass.
+        A one-region :meth:`touch_shared_pass`.
         """
-        if out is None:
-            res = AccessResult()
-        else:
-            res = out
-            res.reset()
-        if nbytes <= 0:
-            return res
+        return self.touch_shared_pass(core_id, (Allocation(addr, nbytes),), cls, out)
+
+    def touch_shared_pass(
+        self,
+        core_id: int,
+        regions: Iterable[Allocation],
+        cls: int = CLS_NETWORK,
+        out: Optional[AccessResult] = None,
+    ) -> AccessResult:
+        """One heater pass over every region: a single transaction.
+
+        Touches each line of each region in order (regions in iteration
+        order, ascending lines within a region; zero-size regions touch
+        nothing, overlapping ones touch their shared lines again): an L3
+        lookup that fills on a miss, then a fill of the heater core's L2 and
+        L1. ``lines`` is the pass total, ``l3_hits`` the lines found
+        LLC-resident (refreshed) and ``dram_fills`` the lines installed; the
+        other fields are zero.
+
+        The cache objects are bound once per pass instead of once per
+        region. Hits — the steady state of a warm pass — are inlined,
+        mirroring ``SetAssociativeCache.lookup`` and the resident-line
+        branch of ``fill`` exactly, with L3 hit/miss/prefetch-hit counters
+        batched into one add per pass (nothing reads them mid-pass). Every
+        miss goes through ``fill``, so eviction, partition, RANDOM draws and
+        set bookkeeping are the method's own.
+        """
         core = self.cores[core_id]
-        first = addr >> LINE_SHIFT
-        last = (addr + nbytes - 1) >> LINE_SHIFT
-        l3_lookup, l3_fill = self.l3.lookup, self.l3.fill
-        l2_fill, l1_fill = core.l2.fill, core.l1.fill
-        refreshed = installed = 0
-        for line in range(first, last + 1):
-            # Refresh recency in the shared cache; fill if absent.
-            if not l3_lookup(line):
-                l3_fill(line, cls)
-                installed += 1
-            else:
-                refreshed += 1
-            l2_fill(line, cls)
-            l1_fill(line, cls)
-        res.lines = last - first + 1
+        l3, l2, l1 = self.l3, core.l2, core.l1
+        l3_sets, l3_order, l3_mask, l3_fill = l3._sets, l3._order, l3._set_mask, l3.fill
+        l2_sets, l2_order, l2_mask, l2_fill = l2._sets, l2._order, l2._set_mask, l2.fill
+        l1_sets, l1_order, l1_mask, l1_fill = l1._sets, l1._order, l1._set_mask, l1.fill
+        l3_lru = l3.policy == EvictionPolicy.LRU
+        l3_plru = l3.policy == EvictionPolicy.PLRU
+        l2_lru = l2.policy == EvictionPolicy.LRU
+        l2_plru = l2.policy == EvictionPolicy.PLRU
+        l1_lru = l1.policy == EvictionPolicy.LRU
+        l1_plru = l1.policy == EvictionPolicy.PLRU
+        n = installed = covered = 0
+        for region in regions:
+            nbytes = region.size
+            if nbytes <= 0:
+                continue
+            addr = region.addr
+            first = addr >> LINE_SHIFT
+            last = (addr + nbytes - 1) >> LINE_SHIFT
+            n += last - first + 1
+            for line in range(first, last + 1):
+                # Refresh recency in the shared cache; fill if absent.
+                idx = line & l3_mask
+                meta = l3_sets[idx].get(line)
+                if meta is None:
+                    l3_fill(line, cls)
+                    installed += 1
+                else:
+                    if meta.prefetched:
+                        meta.prefetched = False
+                        covered += 1
+                    if l3_lru:
+                        order = l3_order[idx]
+                        if order[-1] != line:
+                            order.remove(line)
+                            order.append(line)
+                    elif l3_plru:
+                        order = l3_order[idx]
+                        order.remove(line)
+                        order.insert(len(order) // 2, line)
+                # The heater core's private copies: a resident line is
+                # refilled in place (class reset, prefetch state cleared).
+                idx = line & l2_mask
+                meta = l2_sets[idx].get(line)
+                if meta is None:
+                    l2_fill(line, cls)
+                else:
+                    meta.cls = cls
+                    meta.prefetched = False
+                    meta.penalty = 0.0
+                    if l2_lru:
+                        order = l2_order[idx]
+                        if order[-1] != line:
+                            order.remove(line)
+                            order.append(line)
+                    elif l2_plru:
+                        order = l2_order[idx]
+                        order.remove(line)
+                        order.insert(len(order) // 2, line)
+                idx = line & l1_mask
+                meta = l1_sets[idx].get(line)
+                if meta is None:
+                    l1_fill(line, cls)
+                else:
+                    meta.cls = cls
+                    meta.prefetched = False
+                    meta.penalty = 0.0
+                    if l1_lru:
+                        order = l1_order[idx]
+                        if order[-1] != line:
+                            order.remove(line)
+                            order.append(line)
+                    elif l1_plru:
+                        order = l1_order[idx]
+                        order.remove(line)
+                        order.insert(len(order) // 2, line)
+        refreshed = n - installed
+        l3_stats = l3.stats
+        l3_stats.hits += refreshed
+        l3_stats.misses += installed
+        l3_stats.prefetch_hits += covered
+        res = out if out is not None else AccessResult()
+        res.lines = n
+        res.cycles = 0.0
+        res.netcache_hits = 0
+        res.l1_hits = 0
+        res.l2_hits = 0
         res.l3_hits = refreshed
         res.dram_fills = installed
+        res.prefetch_covered = 0
+        res.penalty_cycles = 0.0
         return res
 
     # -- maintenance ---------------------------------------------------------

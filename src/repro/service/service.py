@@ -68,7 +68,7 @@ from repro.analysis.series import Sweep
 from repro.errors import AdmissionError, ConfigurationError, ServiceError
 from repro.exp.plan import ExperimentPlan, PointResult, PointSpec
 from repro.exp.producers import execute_point
-from repro.exp.runner import backoff_delay
+from repro.exp.runner import backoff_delay, worker_pool
 from repro.exp.store import ResultStore
 from repro.faults.service import ServiceFaultPlan
 from repro.matching.bounded import AdmissionStats
@@ -616,7 +616,7 @@ class SweepService:
                     delayed[:] = still
 
                 if pool is None and not self.stats.degraded_serial and ready:
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
+                    pool = worker_pool(self.jobs)
 
                 if self.stats.degraded_serial:
                     # Bottom of the ladder: serve one point per iteration
@@ -746,7 +746,7 @@ class SweepService:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return ProcessPoolExecutor(max_workers=self.jobs), rebuilds_left - 1
+            return worker_pool(self.jobs), rebuilds_left - 1
         self.stats.degraded_serial = True
         warnings.warn(
             f"service worker pool broke again ({broken!r}) with no rebuild "
@@ -799,4 +799,4 @@ class SweepService:
                 ready.append((work.key, work.attempt))
         self._terminate_pool(pool)
         self.stats.pool_rebuilds += 1
-        return ProcessPoolExecutor(max_workers=self.jobs)
+        return worker_pool(self.jobs)

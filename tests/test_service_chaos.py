@@ -182,6 +182,33 @@ print(f"SERVED {finished} replayed={stats.replayed} executed={stats.executed}")
 """
 
 
+def _stat_fields(pid):
+    """Fields of /proc/<pid>/stat after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    return stat.rpartition(")")[2].split()
+
+
+def _children(pid):
+    """Pids whose parent is *pid*, read from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(entry)
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    """True while *pid* runs (a zombie has already exited)."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 class TestSigkillRecovery:
     @pytest.mark.timeout(120)
     def test_kill_dash_nine_resumes_with_zero_recompute(self, tmp_path):
@@ -221,10 +248,18 @@ class TestSigkillRecovery:
                 time.sleep(0.02)
             else:
                 pytest.fail("server never journaled enough points to kill")
+            workers = _children(first.pid)
             os.kill(first.pid, signal.SIGKILL)
         finally:
             first.wait(timeout=30)
         assert first.returncode == -signal.SIGKILL
+        # The pool workers (one pinned by the stall) must not outlive the
+        # supervisor: they notice the parent is gone and exit.
+        assert workers, "the server had no pool workers to check"
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _alive(pid)], "orphaned pool workers"
 
         recorded = journal_path.read_text(encoding="utf-8").count("\n") - 1
         assert recorded >= 5
